@@ -16,7 +16,7 @@ def _sweep(ctx):
     for name in ctx.config.networks:
         nctx = ctx.network_ctx(name)
         fwd = ctx.forward(name, 0)
-        base = ctx.baseline_timing(name).total_cycles
+        base = ctx.timing("baseline", name).total_cycles
         row = {"network": name}
         for brick in (8, 16, 32):
             cfg = ctx.arch.with_(brick_size=brick)

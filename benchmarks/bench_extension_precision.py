@@ -21,8 +21,8 @@ def _sweep(ctx):
         nctx = ctx.network_ctx(name)
         profile = minimal_precisions(nctx.network, nctx.store, nctx.images[:2])
         fwd = ctx.forward(name, 0)
-        base = ctx.baseline_timing(name).total_cycles
-        plain = ctx.cnv_timing(name).total_cycles
+        base = ctx.timing("baseline", name).total_cycles
+        plain = ctx.timing("cnv", name).total_cycles
         combined = combined_cnv_precision_timing(
             nctx.network, fwd.conv_inputs, ctx.arch, profile.bits
         ).total_cycles

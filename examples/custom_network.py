@@ -12,8 +12,7 @@ Run:  python examples/custom_network.py
 
 import numpy as np
 
-from repro.baseline import baseline_network_timing
-from repro.core import cnv_network_timing
+from repro.backends import get_backend
 from repro.experiments.report import format_table
 from repro.hw import PAPER_CONFIG
 from repro.nn import (
@@ -60,14 +59,15 @@ def main() -> None:
           "(target 50%)")
 
     fwd = run_forward(net, store, images[0])
+    baseline, skipping = get_backend("baseline"), get_backend("cnv")
     rows = []
     for label, arch in [
         ("paper geometry", PAPER_CONFIG),
         ("half-size node (8 units)", PAPER_CONFIG.with_(num_units=8)),
         ("free empty-brick skip", PAPER_CONFIG.with_(empty_brick_cycles=0)),
     ]:
-        base = baseline_network_timing(net, fwd.conv_inputs, arch).total_cycles
-        cnv = cnv_network_timing(net, fwd.conv_inputs, arch).total_cycles
+        base = baseline.network_timing(net, fwd.conv_inputs, arch).total_cycles
+        cnv = skipping.network_timing(net, fwd.conv_inputs, arch).total_cycles
         rows.append({"configuration": label, "baseline": base, "cnv": cnv,
                      "speedup": base / cnv})
     print()

@@ -45,8 +45,8 @@ def main() -> None:
           f"predictions stable: {profile.stable}")
 
     fwd = ctx.forward(args.network, 0)
-    base = ctx.baseline_timing(args.network).total_cycles
-    plain = ctx.cnv_timing(args.network).total_cycles
+    base = ctx.timing("baseline", args.network).total_cycles
+    plain = ctx.timing("cnv", args.network).total_cycles
     combined = combined_cnv_precision_timing(
         nctx.network, fwd.conv_inputs, ctx.arch, profile.bits
     ).total_cycles

@@ -5,13 +5,13 @@ Eyeriss-style zero-gating comparator, Cnvlutin, and the weight-sparsity
 follow-ups Cnvlutin2 and SCNN — registers here as a :class:`Backend`:
 one record naming its timing simulators (layer- and network-level), its
 power model, and the contract flags the cross-backend conformance suite
-keys off.  Consumers (the experiment context, ``fig9_backends``, the
-serving tier's ``backend=`` timing requests, ``repro-obs report``, the
-``cnvlutin-sim`` CLI) discover backends through :func:`get_backend` /
-:func:`iter_backends` instead of importing simulator modules directly —
-adding a backend means one :func:`register` call, and the conformance
-suite (parameterized over :func:`backend_names`) covers it with zero
-test edits.
+keys off.  Consumers (the experiment context's one timing cache, and
+through it every figure and the serving tier; ``repro-obs report``, the
+``cnvlutin-sim`` CLI, ``repro.cluster``) discover backends through
+:func:`get_backend` / :func:`iter_backends` instead of importing
+simulator modules directly — adding a backend means one :func:`register`
+call, and the conformance suite (parameterized over
+:func:`backend_names`) covers it with zero test edits.
 
 Weight-sparse backends (``needs_weights``) take a per-layer filter bank
 whose exact zeros define the ineffectual weights; see

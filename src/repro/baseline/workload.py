@@ -43,6 +43,15 @@ class ConvWork:
                 f"{self.name}: activations {self.activations.shape} != "
                 f"geometry {expected}"
             )
+        groups = self.geometry["groups"]
+        if groups < 1:
+            raise ValueError(f"{self.name}: groups must be >= 1, got {groups}")
+        for field in ("in_depth", "num_filters"):
+            if self.geometry[field] % groups:
+                raise ValueError(
+                    f"{self.name}: {field} {self.geometry[field]} is not "
+                    f"divisible by groups {groups}"
+                )
 
     @property
     def num_groups(self) -> int:

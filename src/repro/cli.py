@@ -34,9 +34,7 @@ import time
 import numpy as np
 
 from repro.backends import DEFAULT_WEIGHT_SPARSITY, backend_names, get_backend, prune_weights
-from repro.baseline.timing import baseline_conv_timing
 from repro.baseline.workload import ConvWork
-from repro.core.timing import cnv_conv_timing
 from repro.experiments.report import format_table
 from repro.hw.config import PAPER_CONFIG, ArchConfig
 from repro.nn.activations import sparse_activations
@@ -70,19 +68,40 @@ def _run_layer(args) -> int:
     if out <= 0:
         print("error: non-positive output size", file=sys.stderr)
         return 2
-    activations = sparse_activations(
-        (args.depth, args.size, args.size), args.sparsity, rng
-    )
-    geometry = {
-        "in_depth": args.depth, "in_y": args.size, "in_x": args.size,
-        "num_filters": args.filters, "kernel": args.kernel,
-        "stride": args.stride, "pad": args.pad, "groups": args.groups,
-        "out_y": out, "out_x": out,
-    }
-    work = ConvWork("layer", geometry, activations, is_first=args.first_layer)
+    requested = []
+    if args.backends:
+        requested = (
+            backend_names()
+            if args.backends == "all"
+            else [b.strip() for b in args.backends.split(",") if b.strip()]
+        )
+    # Everything that can reject the input is built before the first
+    # line of the report prints.
+    try:
+        specs = [get_backend(name) for name in requested]
+        activations = sparse_activations(
+            (args.depth, args.size, args.size), args.sparsity, rng
+        )
+        geometry = {
+            "in_depth": args.depth, "in_y": args.size, "in_x": args.size,
+            "num_filters": args.filters, "kernel": args.kernel,
+            "stride": args.stride, "pad": args.pad, "groups": args.groups,
+            "out_y": out, "out_x": out,
+        }
+        work = ConvWork("layer", geometry, activations, is_first=args.first_layer)
+        weights = None
+        if specs:
+            weights = prune_weights(
+                rng.normal(size=(args.filters, args.depth // args.groups,
+                                 args.kernel, args.kernel)),
+                args.weight_sparsity,
+            )
+    except (KeyError, ValueError) as exc:
+        print(f"error: {exc.args[0]}", file=sys.stderr)
+        return 2
 
-    base = baseline_conv_timing(work, arch)
-    cnv = cnv_conv_timing(work, arch)
+    base = get_backend("baseline").layer_timing(work, arch)
+    cnv = get_backend("cnv").layer_timing(work, arch)
     print(f"layer: {args.depth}x{args.size}x{args.size} -> "
           f"{args.filters} filters {args.kernel}x{args.kernel} "
           f"(stride {args.stride}, pad {args.pad}, "
@@ -102,22 +121,7 @@ def _run_layer(args) -> int:
           f"cnv {cnv_e.total_j * 1e6:.2f} uJ "
           f"({base_e.total_j / cnv_e.total_j:.2f}x gain)")
 
-    if args.backends:
-        requested = (
-            backend_names()
-            if args.backends == "all"
-            else [b.strip() for b in args.backends.split(",") if b.strip()]
-        )
-        try:
-            specs = [get_backend(name) for name in requested]
-        except KeyError as exc:
-            print(f"error: {exc.args[0]}", file=sys.stderr)
-            return 2
-        weights = prune_weights(
-            rng.normal(size=(args.filters, args.depth // args.groups,
-                             args.kernel, args.kernel)),
-            args.weight_sparsity,
-        )
+    if specs:
         rows = []
         for spec in specs:
             timing = spec.layer_timing(
@@ -182,8 +186,8 @@ def _run_network(args) -> int:
         execute_units(config, units, jobs=args.jobs, arch=arch, policy=policy)
     ctx = ExperimentContext(config, arch=arch)
     for name in names:
-        base = ctx.baseline_timing(name)
-        cnv = ctx.cnv_timing(name)
+        base = ctx.timing("baseline", name)
+        cnv = ctx.timing("cnv", name)
         cnv_by = cnv.cycles_by_layer()
         rows = []
         for layer in base.layers:

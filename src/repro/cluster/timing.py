@@ -18,11 +18,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.backends import architectures, get_backend
 from repro.baseline.other_layers import other_layers_timing
-from repro.baseline.timing import baseline_conv_timing, conv_works_from_inputs
+from repro.baseline.timing import conv_works_from_inputs
 from repro.baseline.workload import ConvWork, ceil_div
 from repro.cluster.config import ClusterConfig
-from repro.core.timing import cnv_conv_timing
 from repro.nn.network import Network
 
 __all__ = [
@@ -31,9 +31,6 @@ __all__ = [
     "nodes_required",
     "capacity_report",
 ]
-
-_CONV_TIMING = {"dadiannao": baseline_conv_timing, "cnvlutin": cnv_conv_timing}
-
 
 @dataclass
 class ClusterLayerTiming:
@@ -95,15 +92,21 @@ def cluster_network_timing(
     cluster: ClusterConfig,
     architecture: str = "dadiannao",
 ) -> ClusterTiming:
-    """Timing of one network over ``cluster.num_nodes`` nodes."""
-    conv_timing = _CONV_TIMING[architecture]
+    """Timing of one network over ``cluster.num_nodes`` nodes.
+
+    ``architecture`` names any registered backend that models activations
+    alone (its ``NetworkTiming.architecture`` string).
+    """
+    backend = get_backend(architectures()[architecture])
     layers: list[ClusterLayerTiming] = []
     data_bytes = cluster.node.data_bits // 8
     for work in conv_works_from_inputs(network, conv_inputs):
         shares = _partition_filters(work, cluster.num_nodes)
         slowest = 0
         for node_filters in set(shares):
-            node_cycles = conv_timing(_node_work(work, node_filters), cluster.node).cycles
+            node_cycles = backend.layer_timing(
+                _node_work(work, node_filters), cluster.node
+            ).cycles
             slowest = max(slowest, node_cycles)
         input_bytes = work.activations.size * data_bytes
         broadcast = 0

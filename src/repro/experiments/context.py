@@ -1,7 +1,7 @@
 """Shared experiment state: calibrated networks, forwards, timings.
 
 Building a paper figure needs the same expensive artifacts over and over —
-a calibrated network, forward passes, baseline/CNV timings.  The
+a calibrated network, forward passes, per-backend timings.  The
 :class:`ExperimentContext` builds each once and caches it in memory, and
 persists every *derived* artifact (calibration shifts, sparsity reports,
 timing summaries, position statistics) to the content-addressed
@@ -23,8 +23,6 @@ from repro.backends import (
     get_backend,
     prune_conv_weights,
 )
-from repro.baseline.timing import baseline_network_timing
-from repro.core.timing import cnv_network_timing
 from repro.experiments.config import PaperConfig
 from repro.experiments.manifest import ArtifactCache, config_fingerprint
 from repro.hw.config import PAPER_CONFIG, ArchConfig
@@ -161,9 +159,7 @@ class ExperimentContext:
         self._structures: dict[str, Network] = {}
         self._engines: dict[str, IncrementalForwardEngine] = {}
         self._forwards: dict[tuple, ForwardResult] = {}
-        self._baseline_timings: dict[str, object] = {}
-        self._cnv_timings: dict[tuple, object] = {}
-        self._backend_timings: dict[tuple, object] = {}
+        self._timings: dict[tuple, NetworkTiming] = {}
         self._pruned_weights: dict[tuple, dict[str, np.ndarray]] = {}
         self._sparsity: dict[str, SparsityReport] = {}
         self._position_stats: dict[str, dict[str, float]] = {}
@@ -253,7 +249,7 @@ class ExperimentContext:
         Every forward in this context runs through one engine per network,
         so activation prefixes are shared across images, threshold
         configurations, and the consumers below (``forward``,
-        ``prediction_stability``, ``cnv_timing``, the threshold searches).
+        ``prediction_stability``, ``timing``, the threshold searches).
         """
         if name not in self._engines:
             ctx = self.network_ctx(name)
@@ -281,54 +277,6 @@ class ExperimentContext:
             self._forwards[key] = result
         return result
 
-    def baseline_timing(self, name: str):
-        """Baseline NetworkTiming (value-independent; computed once)."""
-        if name not in self._baseline_timings:
-            payload = self.artifacts.load("baseline_timing", network=name)
-            if payload is not None:
-                self._baseline_timings[name] = timing_from_payload(payload)
-            else:
-                ctx = self.network_ctx(name)
-                fwd = self.forward(name, 0)
-                timing = baseline_network_timing(ctx.network, fwd.conv_inputs, self.arch)
-                self.artifacts.store(
-                    "baseline_timing", timing_to_payload(timing), network=name
-                )
-                self._baseline_timings[name] = timing
-            self._publish_activity(self._baseline_timings[name])
-        return self._baseline_timings[name]
-
-    def cnv_timing(
-        self,
-        name: str,
-        thresholds: dict[str, float] | None = None,
-        image_index: int = 0,
-    ):
-        """CNV NetworkTiming for one image under optional pruning thresholds."""
-        key = (name, thresholds_key(thresholds), image_index)
-        if key in self._cnv_timings:
-            return self._cnv_timings[key]
-        params = {
-            "network": name,
-            "thresholds": [list(item) for item in thresholds_key(thresholds)],
-            "image_index": image_index,
-        }
-        payload = self.artifacts.load("cnv_timing", **params)
-        if payload is not None:
-            timing = timing_from_payload(payload)
-        else:
-            ctx = self.network_ctx(name)
-            fwd = self.forward(name, image_index, thresholds=thresholds)
-            timing = cnv_network_timing(ctx.network, fwd.conv_inputs, self.arch)
-            self.artifacts.store("cnv_timing", timing_to_payload(timing), **params)
-        self._cnv_timings[key] = timing
-        # The unpruned first-image timing is the canonical activity
-        # profile of (architecture, network); pruned-config variants
-        # would drown it in near-duplicates.
-        if not thresholds and image_index == 0:
-            self._publish_activity(timing)
-        return timing
-
     def pruned_conv_weights(
         self, name: str, sparsity: float = DEFAULT_WEIGHT_SPARSITY
     ) -> dict[str, np.ndarray]:
@@ -343,67 +291,59 @@ class ExperimentContext:
             )
         return self._pruned_weights[key]
 
-    def backend_timing(
+    def timing(
         self,
         backend: str,
         name: str,
         thresholds: dict[str, float] | None = None,
         image_index: int = 0,
         weight_sparsity: float = DEFAULT_WEIGHT_SPARSITY,
-    ):
-        """NetworkTiming of any registered backend (registry-discovered).
+    ) -> NetworkTiming:
+        """NetworkTiming of any registered backend on one image.
 
-        ``baseline`` and ``cnv`` delegate to their dedicated caches above
-        (keeping their artifact kinds — and every existing golden file —
-        byte-stable); other backends persist under the ``backend_timing``
-        kind.  ``weight_sparsity`` only keys backends that model weight
-        sparsity.
+        The one timing path: every backend shares this in-memory dict and
+        the ``timing`` artifact kind, and simulates only through
+        :meth:`~repro.backends.Backend.network_timing` on the conv inputs
+        of the (optionally pruned) forward.  ``weight_sparsity`` keys only
+        backends that model weight sparsity.
         """
         spec = get_backend(backend)  # raises KeyError for unknown names
-        if backend == "baseline":
-            return self.baseline_timing(name)
-        if backend == "cnv":
-            return self.cnv_timing(name, thresholds, image_index)
-        key = (
-            backend,
-            name,
-            thresholds_key(thresholds),
-            image_index,
-            float(weight_sparsity) if spec.needs_weights else None,
-        )
-        if key in self._backend_timings:
-            return self._backend_timings[key]
+        pruned = thresholds_key(thresholds)
+        sparsity = float(weight_sparsity) if spec.needs_weights else None
+        key = (backend, name, pruned, image_index, sparsity)
+        if key in self._timings:
+            return self._timings[key]
         params = {
             "backend": backend,
             "network": name,
-            "thresholds": [list(item) for item in thresholds_key(thresholds)],
+            "thresholds": [list(item) for item in pruned],
             "image_index": image_index,
         }
-        if spec.needs_weights:
-            params["weight_sparsity"] = float(weight_sparsity)
-        payload = self.artifacts.load("backend_timing", **params)
+        if sparsity is not None:
+            params["weight_sparsity"] = sparsity
+        payload = self.artifacts.load("timing", **params)
         if payload is not None:
             timing = timing_from_payload(payload)
         else:
-            ctx = self.network_ctx(name)
             fwd = self.forward(name, image_index, thresholds=thresholds)
             weights = (
-                self.pruned_conv_weights(name, weight_sparsity)
-                if spec.needs_weights
-                else None
+                None if sparsity is None
+                else self.pruned_conv_weights(name, sparsity)
             )
             timing = spec.network_timing(
-                ctx.network, fwd.conv_inputs, self.arch, weights
+                self.network_ctx(name).network, fwd.conv_inputs, self.arch,
+                weights,
             )
-            self.artifacts.store(
-                "backend_timing", timing_to_payload(timing), **params
-            )
-        self._backend_timings[key] = timing
-        if not thresholds and image_index == 0:
+            self.artifacts.store("timing", timing_to_payload(timing), **params)
+        self._timings[key] = timing
+        # The unpruned first-image timing is the canonical activity
+        # profile of (architecture, network); pruned-config variants
+        # would drown it in near-duplicates.
+        if not pruned and image_index == 0:
             self._publish_activity(timing)
         return timing
 
-    def backend_speedup(
+    def speedup(
         self,
         backend: str,
         name: str,
@@ -411,11 +351,13 @@ class ExperimentContext:
         image_index: int = 0,
         weight_sparsity: float = DEFAULT_WEIGHT_SPARSITY,
     ) -> float:
-        """Baseline-over-backend cycle ratio (the fig9_backends quantity)."""
-        base = self.baseline_timing(name).total_cycles
-        timing = self.backend_timing(
-            backend, name, thresholds, image_index, weight_sparsity
-        )
+        """Baseline-over-backend cycle ratio (the Fig. 9 quantity).
+
+        The denominator is always the unpruned first-image baseline:
+        baseline cycles do not depend on activation values.
+        """
+        base = self.timing("baseline", name).total_cycles
+        timing = self.timing(backend, name, thresholds, image_index, weight_sparsity)
         return base / timing.total_cycles
 
     @staticmethod
@@ -429,28 +371,6 @@ class ExperimentContext:
         timing.counters().publish(
             f"activity.{timing.architecture}.{timing.network}"
         )
-
-    def speedup(
-        self,
-        name: str,
-        thresholds: dict[str, float] | None = None,
-        image_index: int = 0,
-    ) -> float:
-        """Baseline-over-CNV cycle ratio (the Fig. 9 quantity)."""
-        base = self.baseline_timing(name).total_cycles
-        cnv = self.cnv_timing(name, thresholds, image_index).total_cycles
-        return base / cnv
-
-    def speedups_across_images(self, name: str) -> list[float]:
-        """Per-image CNV speedups (baseline cycles are value-independent).
-
-        CNV cycles depend on the zero pattern, which Fig. 1 shows is
-        input-stable; the spread here quantifies that for the speedups.
-        """
-        return [
-            self.speedup(name, image_index=idx)
-            for idx in range(self.config.num_images)
-        ]
 
     # ------------------------------------------------------------------
     # sparsity and pruning support

@@ -18,7 +18,7 @@ __all__ = ["run", "conv1_runtime_share"]
 def conv1_runtime_share(ctx: ExperimentContext, name: str) -> float:
     """First-layer share of baseline runtime (Section V-B quotes google at
     35% vs a 21% average — part of why google speeds up least)."""
-    timing = ctx.baseline_timing(name)
+    timing = ctx.timing("baseline", name)
     first = ctx.network_structure(name).first_conv_layers()
     conv1_cycles = sum(l.cycles for l in timing.layers if l.name in first)
     return conv1_cycles / timing.total_cycles
@@ -27,8 +27,8 @@ def conv1_runtime_share(ctx: ExperimentContext, name: str) -> float:
 def run(ctx: ExperimentContext) -> ExperimentResult:
     rows = []
     for name in ctx.config.networks:
-        base = ctx.baseline_timing(name)
-        cnv = ctx.cnv_timing(name)
+        base = ctx.timing("baseline", name)
+        cnv = ctx.timing("cnv", name)
         base_events = base.lane_events()
         cnv_events = cnv.lane_events()
         base_total = sum(base_events.values())

@@ -23,8 +23,8 @@ __all__ = ["run", "network_energy"]
 
 def network_energy(ctx: ExperimentContext, name: str):
     """(baseline EnergyReport, cnv EnergyReport) for one network."""
-    base = ctx.baseline_timing(name)
-    cnv = ctx.cnv_timing(name)
+    base = ctx.timing("baseline", name)
+    cnv = ctx.timing("cnv", name)
     freq = ctx.arch.frequency_ghz
     base_rep = energy_report(base.counters(), base.seconds(freq), "dadiannao")
     cnv_rep = energy_report(cnv.counters(), cnv.seconds(freq), "cnvlutin")

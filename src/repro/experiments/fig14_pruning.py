@@ -19,9 +19,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.baseline.timing import baseline_network_timing
+from repro.backends import get_backend
 from repro.core.pruning import PruningPoint, ThresholdSearcher, raw_to_real
-from repro.core.timing import cnv_network_timing
 from repro.experiments.context import ExperimentContext
 from repro.experiments.report import ExperimentResult
 from repro.experiments.thresholds import DEFAULT_DELTAS, sweep_deltas
@@ -74,7 +73,7 @@ class SmallCnnEvaluator:
             self.network, self.store, np.stack(images)
         )
         first = slice_result(self.engine.run(collect_conv_inputs=True), 0)
-        self._baseline_cycles = baseline_network_timing(
+        self._baseline_cycles = get_backend("baseline").network_timing(
             self.network, first.conv_inputs, self.arch
         ).total_cycles
         self.prunable_layers = [
@@ -92,13 +91,14 @@ class SmallCnnEvaluator:
         correct = int((predictions == np.asarray(self.labels)).sum())
         accuracy = correct / len(self.images)
 
+        cnv = get_backend("cnv")
         cnv_cycles = []
         for index in range(self.num_timing_images):
             conv_inputs = {
                 name: arr[index] for name, arr in result.conv_inputs.items()
             }
             cnv_cycles.append(
-                cnv_network_timing(self.network, conv_inputs, self.arch).total_cycles
+                cnv.network_timing(self.network, conv_inputs, self.arch).total_cycles
             )
         speedup = self._baseline_cycles / float(np.mean(cnv_cycles))
         return accuracy, speedup

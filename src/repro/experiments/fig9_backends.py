@@ -102,7 +102,7 @@ def run(ctx: ExperimentContext) -> ExperimentResult:
             thresholds = _pruning_thresholds(ctx, name, delta)
             row: dict = {"network": name, "delta": delta}
             for backend in backends:
-                speedup = ctx.backend_speedup(backend, name, thresholds)
+                speedup = ctx.speedup(backend, name, thresholds)
                 row[backend] = speedup
                 sums.setdefault((delta, backend), []).append(speedup)
             if "cnv2" in row and "cnv" in row and row["cnv2"] < row["cnv"]:
@@ -112,7 +112,7 @@ def run(ctx: ExperimentContext) -> ExperimentResult:
                     "intersection invariant is broken"
                 )
             if "scnn" in row:
-                timing = ctx.backend_timing("scnn", name, thresholds)
+                timing = ctx.timing("scnn", name, thresholds)
                 mults = int(
                     sum(
                         layer.counters.counts.get("mults", 0.0)

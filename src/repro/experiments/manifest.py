@@ -188,7 +188,9 @@ class ArtifactCache:
         fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
         try:
             with os.fdopen(fd, "w") as handle:
-                json.dump(document, handle)
+                # dumps, not dump: the same bytes through the C encoder
+                # (dump streams through the pure-Python one).
+                handle.write(json.dumps(document))
             os.replace(tmp, path)
         except BaseException:
             try:

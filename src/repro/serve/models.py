@@ -17,8 +17,11 @@ through the engine's one-off batch admission; *probe* requests
 (``image_index`` into the engine's resident stack) run through
 :meth:`~repro.nn.engine.IncrementalForwardEngine.run`, whose
 threshold-signature LRU replays cached layer prefixes — the mechanism
-the sharded tier partitions across processes.  :func:`direct_response`
-is the reference implementation — one
+the sharded tier partitions across processes.  Timing payloads take the
+baseline, and a probe's whole timing, from :meth:`~repro.experiments.
+context.ExperimentContext.timing` — the cache the experiment pipeline
+uses; a seeded request simulates its own conv inputs through the backend
+registry.  :func:`direct_response` is the reference implementation — one
 :func:`~repro.nn.inference.run_forward` per request with no batching, no
 engine, no service — against which the differential tests assert
 byte-identical responses.
@@ -28,9 +31,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.backends import get_backend
-from repro.baseline.timing import baseline_network_timing
-from repro.core.timing import cnv_network_timing
+from repro.backends import backend_names, get_backend
 from repro.experiments.config import PaperConfig
 from repro.experiments.context import ExperimentContext
 from repro.hw.config import PAPER_CONFIG, ArchConfig
@@ -70,13 +71,6 @@ class ModelRepository:
         self.context = context if context is not None else ExperimentContext(
             config, arch=arch
         )
-        self.arch = arch
-        self._baseline_cycles: dict[str, int] = {}
-        # (network, thresholds_key, image_index, backend) -> timing
-        # payload.  A probe request's conv inputs are a pure function of
-        # that key, so the cycle-accurate simulators need run only once
-        # per config.
-        self._probe_timing: dict[tuple, dict] = {}
 
     @property
     def networks(self) -> list[str]:
@@ -96,35 +90,41 @@ class ModelRepository:
         """How many resident probe images ``image_index`` may address."""
         return len(self.entry(name).images)
 
-    def probe_timing_payload(
-        self,
-        name: str,
-        thresholds_key: tuple,
-        image_index: int,
-        conv_inputs: dict,
-        backend: str | None = None,
-    ) -> dict:
-        """Timing payload for a probe request, memoized per config.
+    def admission_error(self, request: ServeRequest) -> str | None:
+        """Why a front end must refuse ``request`` before queueing it.
 
-        The simulators are deterministic over conv inputs, and a probe's
-        conv inputs are fixed by (network, thresholds, image index) — so
-        repeats return the identical ints/floats without re-simulating.
+        The one admission check of both the single-process service and
+        the sharded router: a known network, an ``image_index`` inside
+        the resident probe stack, a registered ``backend``.
         """
-        key = (name, thresholds_key, image_index, backend)
-        if key not in self._probe_timing:
-            self._probe_timing[key] = _timing_payload(
-                self, name, conv_inputs, backend
+        if request.network not in self.networks:
+            return f"unknown network {request.network!r}"
+        if request.image_index is not None and request.image_index >= (
+            self.probe_count(request.network)
+        ):
+            return (
+                f"image_index {request.image_index} out of range "
+                f"(network {request.network} holds "
+                f"{self.probe_count(request.network)} probe images)"
             )
-        return dict(self._probe_timing[key])
+        if request.backend is not None and request.backend not in backend_names():
+            return (
+                f"unknown backend {request.backend!r}; registered: "
+                f"{backend_names()}"
+            )
+        return None
 
-    def baseline_cycles(self, name: str, conv_inputs: dict) -> int:
-        """Baseline total cycles — value-independent, so memoized per network."""
-        if name not in self._baseline_cycles:
-            timing = baseline_network_timing(
-                self.entry(name).network, conv_inputs, self.arch
-            )
-            self._baseline_cycles[name] = timing.total_cycles
-        return self._baseline_cycles[name]
+    def simulate(
+        self, name: str, backend: str, conv_inputs: dict[str, np.ndarray]
+    ) -> int:
+        """Total cycles of ``backend`` on one request's own conv inputs."""
+        spec = get_backend(backend)
+        weights = (
+            self.context.pruned_conv_weights(name) if spec.needs_weights else None
+        )
+        return spec.network_timing(
+            self.entry(name).network, conv_inputs, self.context.arch, weights
+        ).total_cycles
 
 
 def _classify_payload(logits: np.ndarray) -> dict:
@@ -141,30 +141,15 @@ def _zero_fraction_payload(conv_inputs: dict[str, np.ndarray]) -> dict:
     }
 
 
-def _timing_payload(
-    repo: ModelRepository,
-    name: str,
-    conv_inputs: dict[str, np.ndarray],
-    backend: str | None = None,
-) -> dict:
-    network = repo.entry(name).network
-    base = repo.baseline_cycles(name, conv_inputs)
+def _timing_payload(backend: str | None, base: int, cycles: int) -> dict:
     if backend is None:
         # The original CNV-vs-baseline payload, byte-for-byte — requests
         # that never name a backend cannot observe the registry exists.
-        cnv = cnv_network_timing(network, conv_inputs, repo.arch).total_cycles
         return {
             "baseline_cycles": int(base),
-            "cnv_cycles": int(cnv),
-            "speedup": base / cnv,
+            "cnv_cycles": int(cycles),
+            "speedup": base / cycles,
         }
-    spec = get_backend(backend)  # names are validated at admission
-    weights = (
-        repo.context.pruned_conv_weights(name) if spec.needs_weights else None
-    )
-    cycles = spec.network_timing(
-        network, conv_inputs, repo.arch, weights
-    ).total_cycles
     return {
         "backend": backend,
         "baseline_cycles": int(base),
@@ -178,32 +163,34 @@ def _payload(
     request: ServeRequest,
     logits: np.ndarray | None,
     conv_inputs: dict[str, np.ndarray],
+    thresholds: dict[str, float] | None,
 ) -> dict:
+    """One request's payload from its slice of the batch forward.
+
+    A probe's timing comes from the context's timing cache — its conv
+    inputs are fixed by (network, thresholds, image index) — and a seeded
+    request simulates its own conv inputs.  The baseline is the cached
+    one either way: its cycle count does not depend on the input.
+    """
     if request.kind == "classify":
         if logits is None:
             raise ValueError(f"network {request.network} produced no logits")
         return _classify_payload(logits)
     if request.kind == "zero_fraction":
         return _zero_fraction_payload(conv_inputs)
-    return _timing_payload(repo, request.network, conv_inputs, request.backend)
+    backend = request.backend or "cnv"
+    if request.image_index is None:
+        cycles = repo.simulate(request.network, backend, conv_inputs)
+    else:
+        cycles = repo.context.timing(
+            backend, request.network, thresholds, request.image_index
+        ).total_cycles
+    base = repo.context.timing("baseline", request.network).total_cycles
+    return _timing_payload(request.backend, base, cycles)
 
 
 def _needs_conv_inputs(requests: list[ServeRequest]) -> bool:
     return any(req.kind in ("zero_fraction", "timing") for req in requests)
-
-
-def _probe_payload(
-    repo: ModelRepository,
-    request: ServeRequest,
-    thresholds_key: tuple,
-    sliced,
-) -> dict:
-    if request.kind == "timing":
-        return repo.probe_timing_payload(
-            request.network, thresholds_key, request.image_index,
-            sliced.conv_inputs, request.backend,
-        )
-    return _payload(repo, request, sliced.logits, sliced.conv_inputs)
 
 
 def execute_batch(
@@ -250,7 +237,7 @@ def execute_batch(
             }
             responses[pos] = ServeResponse(
                 id=req.id, status="ok", kind=req.kind, network=req.network,
-                payload=_payload(repo, req, logits, conv_inputs),
+                payload=_payload(repo, req, logits, conv_inputs, thresholds),
             )
 
     if probes:
@@ -263,7 +250,9 @@ def execute_batch(
             sliced = slice_result(result, req.image_index)
             responses[pos] = ServeResponse(
                 id=req.id, status="ok", kind=req.kind, network=req.network,
-                payload=_probe_payload(repo, req, thresholds_key, sliced),
+                payload=_payload(
+                    repo, req, sliced.logits, sliced.conv_inputs, thresholds
+                ),
             )
 
     return [responses[pos] for pos in range(len(requests))]
@@ -273,7 +262,7 @@ def direct_response(repo: ModelRepository, request: ServeRequest) -> ServeRespon
     """Reference path: one unbatched ``run_forward`` per request.
 
     Probe requests forward the named resident image directly — no
-    engine, no cache, no memoized timing — so the differential tests
+    engine, no cache, no cached timing — so the differential tests
     compare the full sharded/batched/cached pipeline against the
     simplest possible computation of the same answer.
     """
@@ -291,10 +280,21 @@ def direct_response(repo: ModelRepository, request: ServeRequest) -> ServeRespon
         collect_conv_inputs=_needs_conv_inputs([request]),
         keep_outputs=False,
     )
+    if request.kind == "timing":
+        # Both simulators run on this request's own conv inputs.
+        base = repo.simulate(request.network, "baseline", result.conv_inputs)
+        cycles = repo.simulate(
+            request.network, request.backend or "cnv", result.conv_inputs
+        )
+        payload = _timing_payload(request.backend, base, cycles)
+    else:
+        payload = _payload(
+            repo, request, result.logits, result.conv_inputs, thresholds
+        )
     return ServeResponse(
         id=request.id,
         status="ok",
         kind=request.kind,
         network=request.network,
-        payload=_payload(repo, request, result.logits, result.conv_inputs),
+        payload=payload,
     )

@@ -39,6 +39,8 @@ size, serving shard) is deliberately excluded.
 from __future__ import annotations
 
 import json
+import math
+import numbers
 from dataclasses import dataclass, field
 
 __all__ = [
@@ -59,6 +61,10 @@ _REQUEST_FIELDS = {
     "id", "kind", "network", "image_seed", "image_index",
     "thresholds", "deadline_ms", "backend",
 }
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -98,8 +104,24 @@ class ServeRequest:
             )
         if self.image_index is not None and self.image_index < 0:
             raise ValueError("image_index must be >= 0 (or None)")
-        if self.deadline_ms is not None and self.deadline_ms <= 0:
-            raise ValueError("deadline_ms must be positive (or None)")
+        if self.deadline_ms is not None and not (
+            _is_number(self.deadline_ms) and self.deadline_ms > 0
+        ):
+            raise ValueError("deadline_ms must be a positive number (or None)")
+        if self.thresholds is not None:
+            if not isinstance(self.thresholds, dict):
+                raise ValueError(
+                    "thresholds must be an object mapping layer names to "
+                    "numbers"
+                )
+            for layer, value in self.thresholds.items():
+                if not isinstance(layer, str) or not (
+                    _is_number(value) and math.isfinite(value) and value >= 0
+                ):
+                    raise ValueError(
+                        f"thresholds[{layer!r}] must be a finite number >= 0, "
+                        f"got {value!r}"
+                    )
 
     def thresholds_key(self) -> tuple:
         """Hashable rendering of the threshold config (batch-group key)."""
@@ -158,6 +180,8 @@ class ServeRequest:
             )
         except KeyError as exc:
             raise ValueError(f"request is missing field {exc.args[0]!r}")
+        except TypeError as exc:
+            raise ValueError(f"malformed request field: {exc}")
 
     @classmethod
     def from_json(cls, text: str) -> "ServeRequest":

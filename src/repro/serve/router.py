@@ -71,7 +71,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from repro import obs
-from repro.backends import backend_names
 from repro.experiments.context import ExperimentContext
 from repro.nn.shm import SharedWeightArena, sweep_stale_arenas
 from repro.obs.timeseries import TelemetryPlane
@@ -419,25 +418,10 @@ class ShardedService:
         if not self.started:
             raise RuntimeError("service is not started")
         obs.counter_add("router.requests")
-        error = None
-        if request.network not in self.repo.networks:
-            error = f"unknown network {request.network!r}"
-        elif request.image_index is not None and request.image_index >= (
-            self.repo.probe_count(request.network)
-        ):
-            error = (
-                f"image_index {request.image_index} out of range "
-                f"(network {request.network} holds "
-                f"{self.repo.probe_count(request.network)} probe images)"
-            )
-        elif request.backend is not None and request.backend not in backend_names():
-            # Validated here, before routing: an unregistered backend name
-            # must answer as a 500-style validation error at the router,
-            # never reach (let alone crash) a shard process.
-            error = (
-                f"unknown backend {request.backend!r}; registered: "
-                f"{backend_names()}"
-            )
+        # Validated here, before routing: a bad request answers as a
+        # 500-style validation error at the router, never reaching (let
+        # alone crashing) a shard process.
+        error = self.repo.admission_error(request)
         loop = asyncio.get_running_loop()
         if error is not None:
             obs.counter_add("router.errors")

@@ -50,7 +50,6 @@ import traceback
 from dataclasses import dataclass, field
 
 from repro import obs
-from repro.backends import backend_names
 from repro.experiments.config import PaperConfig
 from repro.reliability import FaultInjector, RetryPolicy
 from repro.serve.batcher import Batch, MicroBatcher
@@ -211,22 +210,7 @@ class InferenceService:
         """
         state = self._require_state()
         obs.counter_add("serve.requests")
-        error = None
-        if request.network not in self.repo.networks:
-            error = f"unknown network {request.network!r}"
-        elif request.image_index is not None and request.image_index >= (
-            self.repo.probe_count(request.network)
-        ):
-            error = (
-                f"image_index {request.image_index} out of range "
-                f"(network {request.network} holds "
-                f"{self.repo.probe_count(request.network)} probe images)"
-            )
-        elif request.backend is not None and request.backend not in backend_names():
-            error = (
-                f"unknown backend {request.backend!r}; registered: "
-                f"{backend_names()}"
-            )
+        error = self.repo.admission_error(request)
         if error is not None:
             future: asyncio.Future = asyncio.get_running_loop().create_future()
             future.set_result(self._finished(request, "error", {"error": error}))

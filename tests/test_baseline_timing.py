@@ -172,3 +172,28 @@ class TestBaselineNetwork:
         net = build_network("alex", input_size=67)
         with pytest.raises(KeyError):
             baseline_network_timing(net, {}, PAPER_CONFIG)
+
+
+class TestConvWorkGeometry:
+    @staticmethod
+    def _geometry(depth, filters, groups):
+        return {
+            "in_depth": depth, "in_y": 4, "in_x": 4, "num_filters": filters,
+            "kernel": 3, "stride": 1, "pad": 1, "groups": groups,
+            "out_y": 4, "out_x": 4,
+        }
+
+    @pytest.mark.parametrize(
+        "depth, filters, groups, message",
+        [
+            (32, 16, 3, "in_depth 32 is not divisible by groups 3"),
+            (32, 15, 2, "num_filters 15 is not divisible by groups 2"),
+            (32, 16, 0, "groups must be >= 1"),
+        ],
+    )
+    def test_bad_grouping_rejected(self, depth, filters, groups, message):
+        with pytest.raises(ValueError, match=message):
+            ConvWork(
+                "bad", self._geometry(depth, filters, groups),
+                np.zeros((depth, 4, 4)),
+            )

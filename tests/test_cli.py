@@ -35,6 +35,39 @@ class TestLayerCommand:
         code = main(["layer", "--size", "2", "--kernel", "5", "--pad", "0"])
         assert code == 2
 
+    def test_groups_not_dividing_the_layer_rejected(self, capsys):
+        code = main([
+            "layer", "--groups", "3", "--depth", "32", "--filters", "16",
+        ])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "not divisible by groups 3" in captured.err
+
+    def test_all_zero_sparsity_rejected(self, capsys):
+        code = main(["layer", "--depth", "16", "--size", "5", "--sparsity", "1.0"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: zero_fraction")
+
+    def test_bad_weight_sparsity_rejected_before_printing(self, capsys):
+        code = main([
+            "layer", "--depth", "16", "--size", "5", "--filters", "4",
+            "--weight-sparsity", "1.5", "--backends", "all",
+        ])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: fraction")
+
+    def test_unknown_backend_rejected_before_printing(self, capsys):
+        code = main(["layer", "--depth", "16", "--size", "5", "--backends", "tpu"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "unknown backend 'tpu'" in captured.err
+
     def test_free_empty_bricks_flag(self, capsys):
         code = main([
             "layer", "--depth", "16", "--size", "5", "--filters", "4",

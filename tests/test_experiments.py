@@ -1,10 +1,14 @@
 """Experiment-harness tests (repro.experiments) at smoke scale."""
 
+import json
+
 import numpy as np
 import pytest
 
+from repro.backends import Backend, backend_names
 from repro.experiments import (
     fig1_zero_fraction,
+    fig9_backends,
     fig9_speedup,
     fig10_breakdown,
     fig11_area,
@@ -15,6 +19,7 @@ from repro.experiments import (
 )
 from repro.experiments.config import PaperConfig
 from repro.experiments.context import ExperimentContext, thresholds_key
+from repro.experiments.manifest import ArtifactCache
 from repro.experiments.report import ExperimentResult, format_table, geometric_mean
 from repro.experiments.runner import EXPERIMENTS, run_all
 from repro.experiments.thresholds import (
@@ -70,13 +75,65 @@ class TestContext:
         assert path.exists()
 
     def test_speedup_above_one(self, ctx):
-        assert ctx.speedup("alex") > 1.0
+        assert ctx.speedup("cnv", "alex") > 1.0
 
     def test_baseline_timing_memoized(self, ctx):
-        assert ctx.baseline_timing("alex") is ctx.baseline_timing("alex")
+        assert ctx.timing("baseline", "alex") is ctx.timing("baseline", "alex")
 
     def test_prediction_stability_of_unpruned_is_one(self, ctx):
         assert ctx.prediction_stability("alex", None) == 1.0
+
+
+class TestOneTimingCache:
+    """Every figure reaches the simulators through ``ctx.timing``: one
+    simulation per distinct key, persisted under one artifact kind."""
+
+    FIGURES = (fig9_speedup, fig9_backends, fig10_breakdown, fig12_power, fig13_edp)
+
+    def test_figures_simulate_each_key_once_under_one_kind(
+        self, tmp_path, monkeypatch
+    ):
+        simulated, stored = [], []
+        network_timing, store = Backend.network_timing, ArtifactCache.store
+
+        def counting_timing(backend, network, *args, **kwargs):
+            simulated.append((backend.name, network.name))
+            return network_timing(backend, network, *args, **kwargs)
+
+        def recording_store(cache, kind, payload, **params):
+            stored.append((kind, json.dumps(params, sort_keys=True)))
+            return store(cache, kind, payload, **params)
+
+        monkeypatch.setattr(Backend, "network_timing", counting_timing)
+        monkeypatch.setattr(ArtifactCache, "store", recording_store)
+        config = PaperConfig(
+            scale="tiny", networks=["alex"], cache_dir=tmp_path, num_images=2
+        )
+        ctx = ExperimentContext(config)
+        for figure in self.FIGURES:
+            figure.run(ctx)
+
+        keys = [params for kind, params in stored if kind == "timing"]
+        assert len(keys) == len(set(keys)), "a timing key was stored twice"
+        assert len(simulated) == len(keys)
+        assert not {kind for kind, _ in stored} & {
+            "baseline_timing", "cnv_timing", "backend_timing",
+        }
+        params = [json.loads(key) for key in keys]
+        assert {p["backend"] for p in params} == set(backend_names())
+        assert {p["image_index"] for p in params} == {0, 1}
+        assert any(p["thresholds"] for p in params)
+
+        # A fresh context over the same cache reads every timing back.
+        simulated.clear()
+        rerun = ExperimentContext(config)
+        for figure in self.FIGURES:
+            figure.run(rerun)
+        assert simulated == []
+
+    def test_unknown_backend_rejected(self, ctx):
+        with pytest.raises(KeyError, match="unknown backend"):
+            ctx.timing("nosuch", "alex")
 
 
 class TestThresholdDerivation:
@@ -134,7 +191,7 @@ class TestExperimentModules:
         for name in ctx.config.networks:
             assert by[(name, "baseline")]["total"] == pytest.approx(1.0)
             assert by[(name, "cnv")]["total"] == pytest.approx(
-                1.0 / ctx.speedup(name), rel=1e-6
+                1.0 / ctx.speedup("cnv", name), rel=1e-6
             )
             # CNV keeps baseline's other/conv1 event counts.
             assert by[(name, "cnv")]["conv1"] == pytest.approx(
@@ -161,7 +218,7 @@ class TestExperimentModules:
     def test_table2(self, ctx):
         result = table2_thresholds.run(ctx)
         for row in result.rows:
-            assert row["speedup"] >= ctx.speedup(row["network"]) - 1e-9
+            assert row["speedup"] >= ctx.speedup("cnv", row["network"]) - 1e-9
 
 
 class TestReport:

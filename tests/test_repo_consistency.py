@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from repro.backends import backend_names
 from repro.baseline.timing import baseline_network_timing
 from repro.core.timing import cnv_network_timing
 from repro.experiments.runner import EXPERIMENTS
@@ -63,6 +64,18 @@ class TestDocumentation:
         }
         for experiment, bench in expected.items():
             assert bench in bench_names, f"no bench for {experiment}"
+
+
+class TestContinuousIntegration:
+    def test_backends_job_matrix_matches_registry(self):
+        """The CI `backends` job runs one conformance job per registered
+        backend, in registration order."""
+        text = (REPO / ".github" / "workflows" / "ci.yml").read_text()
+        job = text[text.index("\n  backends:\n"):]
+        match = re.search(r"^ +backend: \[([^\]]*)\]", job, re.MULTILINE)
+        assert match, "backends job has no `backend: [...]` matrix"
+        matrix = [name.strip() for name in match.group(1).split(",")]
+        assert matrix == backend_names()
 
 
 class TestAccountingIdentities:

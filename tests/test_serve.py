@@ -371,6 +371,23 @@ class TestRequestSchema:
         with pytest.raises(ValueError):
             ServeRequest(id="a", kind="meditate", network="alex")
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("thresholds", {"conv2": "abc"}),
+            ("thresholds", ["conv2"]),
+            ("thresholds", {"conv2": -0.5}),
+            ("thresholds", {"conv2": float("nan")}),
+            ("thresholds", {"conv2": True}),
+            ("deadline_ms", "x"),
+            ("image_seed", [1]),
+        ],
+    )
+    def test_malformed_field_fails_as_value_error(self, field, value):
+        payload = {"id": "a", "kind": "timing", "network": "alex", field: value}
+        with pytest.raises(ValueError):
+            ServeRequest.from_payload(payload)
+
     def test_canonical_bytes_exclude_schedule_metadata(self):
         response = ServeResponse(
             id="a", status="ok", kind="classify", network="alex",
@@ -391,49 +408,77 @@ class TestRequestSchema:
             percentile(values, 101)
 
 
+def _serve_lines(tmp_path, payloads: list[dict]) -> list[dict]:
+    """Pipeline ``payloads`` as JSON lines into a `repro-serve serve`
+    subprocess that exits after answering them all; returns the replies."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parent.parent / "src")
+    env["CNVLUTIN_CACHE_DIR"] = str(tmp_path / "cache")
+    proc = subprocess.Popen(
+        [
+            sys.executable, "-m", "repro.serve.cli", "serve",
+            "--port", "0", "--max-requests", str(len(payloads)),
+            "--scale", "tiny", "--networks", "alex", "--no-cache",
+        ],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env, text=True,
+    )
+    try:
+        banner = proc.stdout.readline()
+        assert "listening on" in banner, banner
+        port = int(banner.split(":")[-1].split()[0])
+        deadline = time.monotonic() + 60
+        with socket.create_connection(("127.0.0.1", port), timeout=30) as sock:
+            sock.settimeout(30)
+            sock.sendall(b"".join(
+                json.dumps(payload).encode() + b"\n" for payload in payloads
+            ))
+            sock.shutdown(socket.SHUT_WR)
+            raw = b""
+            while (
+                raw.count(b"\n") < len(payloads) and time.monotonic() < deadline
+            ):
+                chunk = sock.recv(65536)
+                if not chunk:
+                    break
+                raw += chunk
+        proc.wait(timeout=60)
+        assert proc.returncode == 0, proc.stderr.read()
+        return [json.loads(line) for line in raw.splitlines() if line]
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait()
+
+
 class TestTcpServer:
     def test_json_lines_roundtrip(self, tmp_path):
         """`repro-serve serve` answers pipelined JSON lines and exits."""
-        env = dict(os.environ)
-        env["PYTHONPATH"] = str(Path(__file__).resolve().parent.parent / "src")
-        env["CNVLUTIN_CACHE_DIR"] = str(tmp_path / "cache")
-        proc = subprocess.Popen(
-            [
-                sys.executable, "-m", "repro.serve.cli", "serve",
-                "--port", "0", "--max-requests", "2",
-                "--scale", "tiny", "--networks", "alex", "--no-cache",
-            ],
-            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env, text=True,
-        )
-        try:
-            banner = proc.stdout.readline()
-            assert "listening on" in banner, banner
-            port = int(banner.split(":")[-1].split()[0])
-            deadline = time.monotonic() + 60
-            with socket.create_connection(("127.0.0.1", port), timeout=30) as sock:
-                sock.settimeout(30)
-                lines = b"".join(
-                    json.dumps(
-                        {"id": rid, "kind": "classify", "network": "alex",
-                         "image_seed": seed}
-                    ).encode() + b"\n"
-                    for rid, seed in (("t0", 1), ("t1", 2))
-                )
-                sock.sendall(lines)
-                sock.shutdown(socket.SHUT_WR)
-                raw = b""
-                while raw.count(b"\n") < 2 and time.monotonic() < deadline:
-                    chunk = sock.recv(65536)
-                    if not chunk:
-                        break
-                    raw += chunk
-            docs = [json.loads(line) for line in raw.splitlines() if line]
-            assert {doc["id"] for doc in docs} == {"t0", "t1"}
-            assert all(doc["status"] == "ok" for doc in docs)
-            assert all(isinstance(doc["payload"]["top1"], int) for doc in docs)
-            proc.wait(timeout=60)
-            assert proc.returncode == 0, proc.stderr.read()
-        finally:
-            if proc.poll() is None:
-                proc.kill()
-                proc.wait()
+        docs = _serve_lines(tmp_path, [
+            {"id": rid, "kind": "classify", "network": "alex", "image_seed": seed}
+            for rid, seed in (("t0", 1), ("t1", 2))
+        ])
+        assert {doc["id"] for doc in docs} == {"t0", "t1"}
+        assert all(doc["status"] == "ok" for doc in docs)
+        assert all(isinstance(doc["payload"]["top1"], int) for doc in docs)
+
+    def test_malformed_requests_answered_and_service_keeps_serving(
+        self, tmp_path
+    ):
+        """Each malformed line gets one error reply, and the well-formed
+        request after them is still served: a bad threshold value that
+        reached the micro-batcher would kill the dispatch loop and hang
+        every later request."""
+        timing = {"kind": "timing", "network": "alex", "image_seed": 3}
+        docs = _serve_lines(tmp_path, [
+            {"id": "b0", **timing, "thresholds": {"conv2": "abc"}},
+            {"id": "b1", **timing, "thresholds": ["conv2"]},
+            {"id": "b2", **timing, "deadline_ms": "x"},
+            {"id": "good", **timing, "thresholds": {"conv2": 0.05}},
+        ])
+        by_status = {}
+        for doc in docs:
+            by_status.setdefault(doc["status"], []).append(doc)
+        assert len(by_status["error"]) == 3
+        assert all("bad request" in d["payload"]["error"] for d in by_status["error"])
+        [good] = by_status["ok"]
+        assert good["id"] == "good" and good["payload"]["cnv_cycles"] > 0

@@ -21,16 +21,19 @@ guarantees pinned here:
 from __future__ import annotations
 
 import asyncio
+import dataclasses
 
 import pytest
 
-from repro.backends import backend_names
+from repro.backends import Backend, backend_names
 from repro.serve import (
+    ModelRepository,
     ServeRequest,
     ShardTierConfig,
     ShardedService,
     canonical_response_bytes,
     direct_response,
+    execute_batch,
 )
 from test_serve_sharded import det_config, drive_sharded
 
@@ -113,6 +116,41 @@ class TestBackendDifferential:
                     assert payload["backend_cycles"] == (
                         payload["baseline_cycles"]
                     )
+
+
+class TestProbeTimingCache:
+    def test_probe_request_and_context_timing_share_one_simulation(
+        self, tmp_path, monkeypatch
+    ):
+        """A probe timing request reads the same cache entry as
+        ``repo.context.timing`` for its key, in either order."""
+        simulated = []
+        network_timing = Backend.network_timing
+
+        def counting_timing(backend, *args, **kwargs):
+            simulated.append(backend.name)
+            return network_timing(backend, *args, **kwargs)
+
+        monkeypatch.setattr(Backend, "network_timing", counting_timing)
+        repo = ModelRepository(det_config().paper_config(tmp_path))
+        thresholds = {"conv2": 0.05}
+        probe = ServeRequest(
+            id="p", kind="timing", network="alex", image_index=0,
+            thresholds=thresholds, backend="scnn",
+        )
+        [response] = execute_batch(repo, [probe])
+        assert sorted(simulated) == ["baseline", "scnn"]
+        timing = repo.context.timing("scnn", "alex", thresholds, 0)
+        assert sorted(simulated) == ["baseline", "scnn"]
+        assert response.payload["backend_cycles"] == timing.total_cycles
+
+        cnv = repo.context.timing("cnv", "alex", thresholds, 0)
+        simulated.clear()
+        [legacy] = execute_batch(
+            repo, [dataclasses.replace(probe, id="q", backend=None)]
+        )
+        assert simulated == []
+        assert legacy.payload["cnv_cycles"] == cnv.total_cycles
 
 
 class TestBackendValidation:
