@@ -305,6 +305,7 @@ class IncrementalForwardEngine:
         thresholds: dict[str, float] | None = None,
         collect_conv_inputs: bool = True,
         keep_outputs: bool = False,
+        collect_logits: bool = True,
     ) -> ForwardResult:
         """Batched forward of an *admitted* external stack (serving batches).
 
@@ -312,7 +313,10 @@ class IncrementalForwardEngine:
         the threshold-signature cache (whose keys assume the engine's own
         fixed images) — but shares the network, calibrated store, and the
         batched layer path, keeping the output bit-identical to stacking
-        per-image :func:`~repro.nn.inference.run_forward` calls.
+        per-image :func:`~repro.nn.inference.run_forward` calls.  With
+        ``collect_logits=False`` the pass stops at the last conv layer's
+        input (see :func:`~repro.nn.inference.run_forward`): a batch that
+        reads only conv inputs never computes the FC classifier.
         """
         images = self.admit(images)
         with obs.span(
@@ -326,6 +330,7 @@ class IncrementalForwardEngine:
                 thresholds=thresholds,
                 collect_conv_inputs=collect_conv_inputs,
                 keep_outputs=keep_outputs,
+                collect_logits=collect_logits,
             )
 
     def run(

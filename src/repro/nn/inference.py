@@ -223,6 +223,7 @@ def run_forward(
     keep_outputs: bool = True,
     shift_fn=None,
     formats: dict[str, FixedPointFormat] | None = None,
+    collect_logits: bool = True,
 ) -> ForwardResult:
     """Run one image — or a stack of images — through the network.
 
@@ -257,6 +258,14 @@ def run_forward(
         layers' outputs — the variable-precision value property the
         paper's conclusion points at (Judd et al., "Stripes"); used by
         :mod:`repro.extensions.precision`.
+    collect_logits:
+        If false, the caller reads only ``conv_inputs``: the pass records
+        the input of the last conv layer and stops there, so that layer
+        and everything after it (the FC classifier included) are never
+        computed and ``logits`` is ``None``.  Layers run in topological
+        order, so no conv input depends on the skipped tail; the
+        ``conv_inputs`` are byte-identical to the full pass's, and with
+        ``keep_outputs`` only the computed layers appear in ``outputs``.
     """
     image = np.asarray(image)
     if image.shape != network.input_shape and not (
@@ -286,8 +295,19 @@ def run_forward(
         image = image.astype(np.float64)
     image = maybe_quantize(image)
 
+    stop = (
+        None if collect_logits or not network.conv_layers
+        else network.index_of(network.conv_layers[-1].name)
+    )
+
     zskip.pop_records()  # discard records left by unrelated layer calls
     for idx, layer in enumerate(network.layers):
+        if idx == stop:
+            if collect_conv_inputs:
+                conv_inputs[layer.name] = _producer_output(
+                    network, idx, layer, outputs, image
+                )
+            break
         with obs.span(
             f"layer:{layer.name}", cat="nn", network=network.name,
             kind=layer.kind,

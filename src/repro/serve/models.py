@@ -13,18 +13,22 @@ batched forward shared by every request in the batch (classify,
 zero-fraction, and timing requests coalesce freely as long as they agree
 on network + thresholds), then per-request payload assembly from the
 sliced activations.  Seeded requests (distinct synthetic inputs) stack
-through the engine's one-off batch admission; *probe* requests
-(``image_index`` into the engine's resident stack) run through
-:meth:`~repro.nn.engine.IncrementalForwardEngine.run`, whose
-threshold-signature LRU replays cached layer prefixes — the mechanism
-the sharded tier partitions across processes.  Timing payloads take the
-baseline, and a probe's whole timing, from :meth:`~repro.experiments.
-context.ExperimentContext.timing` — the cache the experiment pipeline
-uses; a seeded request simulates its own conv inputs through the backend
-registry.  :func:`direct_response` is the reference implementation — one
-:func:`~repro.nn.inference.run_forward` per request with no batching, no
-engine, no service — against which the differential tests assert
-byte-identical responses.
+through the engine's one-off batch admission; when none of them is a
+classify request the stack is read only through its conv inputs, so
+that forward stops at the last conv layer's input and never computes
+the last conv layer or the FC classifier.  *Probe* requests
+(``image_index`` into the engine's resident stack) run the whole
+network through :meth:`~repro.nn.engine.IncrementalForwardEngine.run`,
+whose threshold-signature LRU replays cached layer prefixes — the
+mechanism the sharded tier partitions across processes.  Timing payloads
+take the baseline, and a probe's whole timing, from
+:meth:`~repro.experiments.context.ExperimentContext.timing` — the cache
+the experiment pipeline uses; a seeded request simulates its own conv
+inputs through the backend registry.  :func:`direct_response` is the
+reference implementation — one full :func:`~repro.nn.inference.
+run_forward` per request with no batching, no engine, no service and no
+early stop — against which the differential tests assert byte-identical
+responses.
 """
 
 from __future__ import annotations
@@ -193,6 +197,10 @@ def _needs_conv_inputs(requests: list[ServeRequest]) -> bool:
     return any(req.kind in ("zero_fraction", "timing") for req in requests)
 
 
+def _needs_logits(requests: list[ServeRequest]) -> bool:
+    return any(req.kind == "classify" for req in requests)
+
+
 def execute_batch(
     repo: ModelRepository, requests: list[ServeRequest]
 ) -> list[ServeResponse]:
@@ -200,12 +208,15 @@ def execute_batch(
 
     Every request must agree on (network, thresholds) — the micro-batcher
     groups by exactly that key.  Seeded requests stack through the
-    engine's batch-admission hook; probe requests (``image_index``) share
-    one :meth:`~repro.nn.engine.IncrementalForwardEngine.run` over the
-    resident stack, replaying cached layer prefixes when the threshold
-    signature has been seen before.  Both paths are bit-identical to
-    running each request alone (the PR-2 batch-axis guarantee, pinned by
-    the differential tests).
+    engine's batch-admission hook, which reads the logits only when a
+    classify request is among them: a timing / zero-fraction stack stops
+    at the last conv layer's input.  Probe requests (``image_index``)
+    share one :meth:`~repro.nn.engine.IncrementalForwardEngine.run` over
+    the resident stack, replaying cached layer prefixes when the
+    threshold signature has been seen before.  Both paths are
+    bit-identical to running each request alone through the full
+    forward of :func:`direct_response` (pinned by the differential
+    tests).
     """
     if not requests:
         return []
@@ -225,10 +236,12 @@ def execute_batch(
 
     if seeded:
         stack = np.stack([repo.image(name, req.image_seed) for _, req in seeded])
+        stacked = [req for _, req in seeded]
         result = repo.engine(name).run_stack(
             stack,
             thresholds=thresholds,
-            collect_conv_inputs=_needs_conv_inputs([req for _, req in seeded]),
+            collect_conv_inputs=_needs_conv_inputs(stacked),
+            collect_logits=_needs_logits(stacked),
         )
         for index, (pos, req) in enumerate(seeded):
             logits = None if result.logits is None else result.logits[index]

@@ -225,14 +225,16 @@ class _ShardClient:
         future: asyncio.Future = asyncio.get_running_loop().create_future()
         self._pending[rid] = future
         line = json.dumps({"rid": rid, **payload}).encode() + b"\n"
+        # One finally covers the write and the wait: a call cancelled
+        # while queued on the lock or inside drain() must not leave a
+        # future that a later _fail_pending fails with nobody awaiting it.
         try:
-            async with self._write_lock:
-                self._writer.write(line)
-                await self._writer.drain()
-        except (ConnectionError, OSError) as exc:
-            self._pending.pop(rid, None)
-            raise ShardDead(str(exc))
-        try:
+            try:
+                async with self._write_lock:
+                    self._writer.write(line)
+                    await self._writer.drain()
+            except (ConnectionError, OSError) as exc:
+                raise ShardDead(str(exc))
             return await asyncio.wait_for(future, timeout_s)
         finally:
             self._pending.pop(rid, None)

@@ -8,17 +8,21 @@ weights, images, and threshold-mutation sequences through both a linear
 network and a GoogLeNet-style branching/concat network.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.experiments.config import PaperConfig
 from repro.nn.engine import (
     IncrementalForwardEngine,
     slice_result,
     threshold_scopes,
 )
 from repro.nn.inference import init_weights, run_forward
+from repro.nn.models import build_network, network_names
 from repro.nn.network import LayerSpec, Network
 
 
@@ -229,3 +233,46 @@ class TestThresholdScopes:
         assert engine._signature("pool1", {"conv1": 0.0}) == base
         assert engine._signature("pool1", {"conv2": 0.5}) == base
         assert engine._signature("pool1", {"conv1": 0.5}) != base
+
+
+class TestShortPass:
+    """``collect_logits=False`` stops at the last conv layer's input."""
+
+    @pytest.mark.parametrize("name", network_names())
+    def test_conv_inputs_match_full_pass(self, name):
+        """Every paper network at tiny scale, google's concat and aux
+        branches and nin's FC-less head included: same conv-input bytes,
+        no logits, nothing computed from the last conv layer on."""
+        network = build_network(
+            name, input_size=PaperConfig(scale="tiny").input_size(name)
+        )
+        rng = np.random.default_rng(5)
+        store = init_weights(network, rng)
+        store.weights = {k: v.astype(np.float32) for k, v in store.weights.items()}
+        store.biases = {k: v.astype(np.float32) for k, v in store.biases.items()}
+        images = rng.normal(size=(2, *network.input_shape)).astype(np.float32)
+        thresholds = {network.conv_layers[0].name: 0.05}
+        full = run_forward(network, store, images, thresholds=thresholds)
+        engine = IncrementalForwardEngine(network, store, images[:1])
+        short = engine.run_stack(
+            images, thresholds=thresholds, keep_outputs=True,
+            collect_logits=False,
+        )
+        assert full.logits is not None
+        assert short.logits is None
+        assert list(short.conv_inputs) == list(full.conv_inputs)
+        for layer, arr in full.conv_inputs.items():
+            assert short.conv_inputs[layer].tobytes() == arr.tobytes(), layer
+        last = network.index_of(network.conv_layers[-1].name)
+        assert list(short.outputs) == [
+            layer.name for layer in network.layers[:last]
+        ]
+
+    def test_single_image_short_pass(self):
+        network, store, images = make_fixture("branching", 4, batch=1)
+        full = run_forward(network, store, images[0], keep_outputs=False)
+        short = run_forward(
+            network, store, images[0], keep_outputs=False, collect_logits=False
+        )
+        assert full.logits is not None
+        assert_results_equal(short, dataclasses.replace(full, logits=None))

@@ -39,6 +39,7 @@ from repro.serve import (
     build_requests,
     canonical_response_bytes,
     direct_response,
+    execute_batch,
     percentile,
     run_load,
     summarize,
@@ -160,6 +161,55 @@ class TestSparseDifferential:
         reference = self._canon_for_mode(repo, requests, "never")
         for mode in ("always", "auto"):
             assert self._canon_for_mode(repo, requests, mode) == reference
+
+
+class TestSeededShortPass:
+    """A seeded batch with no classify request reads only conv inputs, so
+    its forward stops at the last conv layer's input — and still answers
+    byte-identically to the full-forward ``direct_response``."""
+
+    @pytest.mark.parametrize("network", SERVE_NETWORKS)
+    @pytest.mark.parametrize(
+        "kinds",
+        [
+            ("timing", "timing"),
+            ("zero_fraction", "zero_fraction"),
+            ("timing", "zero_fraction"),
+            ("classify", "timing"),
+        ],
+        ids="+".join,
+    )
+    def test_layers_applied_and_bytes(self, repo, monkeypatch, network, kinds):
+        from repro.nn import inference
+
+        applied: list[str] = []
+        apply_layer = inference.apply_layer
+
+        def counting_apply_layer(layer, *args, **kwargs):
+            applied.append(layer.name)
+            return apply_layer(layer, *args, **kwargs)
+
+        requests = [
+            ServeRequest(id=f"q{i}", kind=kind, network=network, image_seed=40 + i)
+            for i, kind in enumerate(kinds)
+        ]
+        monkeypatch.setattr(inference, "apply_layer", counting_apply_layer)
+        responses = execute_batch(repo, requests)
+        monkeypatch.undo()
+
+        layers = repo.entry(network).network
+        last = layers.index_of(layers.conv_layers[-1].name)
+        tail = [layer.name for layer in layers.layers[last:]]
+        assert {layer.name for layer in layers.conv_layers[:-1]} <= set(applied)
+        if "classify" in kinds:
+            assert set(tail) <= set(applied)
+        else:
+            assert not set(tail) & set(applied), tail
+        for request, response in zip(requests, responses):
+            assert response.status == "ok"
+            assert canonical_response_bytes(response) == (
+                canonical_response_bytes(direct_response(repo, request))
+            )
 
 
 class TestOverload:

@@ -409,3 +409,40 @@ class TestSpawnStartMethod:
             assert canonical_response_bytes(response) == (
                 canonical_response_bytes(reference)
             )
+
+
+class TestShardClient:
+    """A reply future never outlives the call that registered it."""
+
+    def test_cancelled_calls_leave_no_pending_future(self):
+        from repro.serve.router import _ShardClient
+
+        class BlockedWriter:
+            """A transport whose drain() never completes."""
+
+            def write(self, line: bytes) -> None:
+                pass
+
+            async def drain(self) -> None:
+                await asyncio.Event().wait()
+
+        async def _go():
+
+            client = _ShardClient(0, "unused.sock", window=4)
+            client.alive = True
+            client._writer = BlockedWriter()
+            in_drain = asyncio.create_task(client.call({"op": "ping"}, 5.0))
+            on_lock = asyncio.create_task(client.call({"op": "ping"}, 5.0))
+            await asyncio.sleep(0)
+            assert client._write_lock.locked()
+            assert len(client._pending) == 2
+            on_lock.cancel()
+            with pytest.raises(asyncio.CancelledError):
+                await on_lock
+            assert len(client._pending) == 1
+            in_drain.cancel()
+            with pytest.raises(asyncio.CancelledError):
+                await in_drain
+            return client._pending
+
+        assert asyncio.run(_go()) == {}
