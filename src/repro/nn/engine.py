@@ -35,7 +35,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro import obs
-from repro.nn import sparse as zskip
 from repro.nn.inference import (
     ForwardResult,
     WeightStore,
@@ -391,12 +390,10 @@ class IncrementalForwardEngine:
                         self.stats.hits += 1
                         obs.counter_add("engine.cache.hits")
                         out, layer_logits = cached
-                        sparse_records = []
                     else:
                         self.stats.misses += 1
                         obs.counter_add("engine.cache.misses")
                         compute_start = time.perf_counter()
-                        zskip.pop_records()  # scope records to this layer
                         if layer.kind == LayerKind.CONCAT:
                             out, layer_logits = src, None
                         else:
@@ -407,12 +404,9 @@ class IncrementalForwardEngine:
                             f"nn.layer.{self.label}.{layer.name}",
                             time.perf_counter() - compute_start,
                         )
-                        sparse_records = zskip.pop_records()
                         self._remember(key, out, layer_logits)
                     if obs.tracing_enabled():
                         layer_span.set(shape=str(out.shape))
-                        if sparse_records:
-                            layer_span.set(**zskip.summarize_records(sparse_records))
                 if layer_logits is not None:
                     logits = layer_logits
                 outputs[layer.name] = out

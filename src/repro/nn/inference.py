@@ -34,7 +34,6 @@ import numpy as np
 
 from repro import obs
 from repro.nn import layers as F
-from repro.nn import sparse as zskip
 from repro.nn.network import LayerKind, LayerSpec, Network
 from repro.nn.tensor import FixedPointFormat, dequantize, quantize
 
@@ -300,7 +299,6 @@ def run_forward(
         else network.index_of(network.conv_layers[-1].name)
     )
 
-    zskip.pop_records()  # discard records left by unrelated layer calls
     for idx, layer in enumerate(network.layers):
         if idx == stop:
             if collect_conv_inputs:
@@ -325,11 +323,8 @@ def run_forward(
 
             out = maybe_quantize(out, layer.name)
             outputs[layer.name] = out
-            sparse_records = zskip.pop_records()
             if obs.tracing_enabled():
                 layer_span.set(shape=str(out.shape))
-                if sparse_records:
-                    layer_span.set(**zskip.summarize_records(sparse_records))
 
         if not keep_outputs:
             _release_consumed(network, idx, outputs, remaining)

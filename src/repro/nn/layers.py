@@ -19,12 +19,11 @@ would break the engine's bit-identity contract (and with it the golden,
 ZFNAf and timing validation that diffs hardware outputs against this
 model).
 
-The conv GEMM and the FC matvec route through the canonical partitioned
-kernels of :mod:`repro.nn.sparse`: the all-zero (ineffectual) slices of
-the patch matrix are split off so the ``CNVLUTIN_SPARSE`` mode can skip
-them for real wall-clock gains.  Dense and sparse modes are
-byte-identical by construction — see that module's docstring for the
-bit-identity argument.  Those kernels also carry the ABFT column
+The conv GEMM and the FC matvec are one plain BLAS call each, per image
+and per group, issued by :mod:`repro.nn.sparse`.  They multiply every
+neuron, zeros included: Cnvlutin's zero skipping lives in its hardware
+lanes, which the cycle simulators model, and dense BLAS gains nothing
+from scattered zero columns at these shapes.  The kernels carry the ABFT
 checksums of :mod:`repro.reliability.integrity`: under
 ``CNVLUTIN_INTEGRITY`` every (sampled) GEMM/matvec verifies a
 Huang-Abraham sum invariant *before* the bias add, read-only, so a
@@ -43,7 +42,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.nn import sparse as zskip
+from repro.nn import sparse as kernels
 
 __all__ = [
     "conv2d",
@@ -133,7 +132,6 @@ def conv2d(
     stride: int = 1,
     pad: int = 0,
     groups: int = 1,
-    sparse_mode: str | None = None,
 ) -> np.ndarray:
     """2-D convolution (cross-correlation, as in CNN frameworks).
 
@@ -149,10 +147,6 @@ def conv2d(
         Spatial stride and symmetric zero padding.
     groups:
         Grouped convolution (AlexNet-style two-GPU splits use ``groups=2``).
-    sparse_mode:
-        Optional per-call override of the :mod:`repro.nn.sparse` compute
-        path (``auto|always|never``); defaults to ``CNVLUTIN_SPARSE``.
-        The mode never changes the output bytes, only the wall-clock.
 
     Returns
     -------
@@ -183,12 +177,8 @@ def conv2d(
     # Compute in the inputs' precision (float32 weights halve the cost of
     # the full-resolution experiment sweeps; default stays float64).
     out_dtype = np.result_type(activations, weights)
-    mode = zskip.resolve_mode(sparse_mode)
-    cutoff = zskip.resolve_cutoff()
-    transposed = zskip.transposed_weights(weights, groups)
-    # The bias add is unconditional (0.0 when absent): it normalizes the
-    # sign of the exactly-zero outputs, the one place the dense and
-    # sparse canonical paths could differ (see repro.nn.sparse).
+    # The bias add is unconditional (0.0 when absent): it maps -0.0 to
+    # +0.0, and the batched and single-image paths end with the same add.
     if activations.ndim == 4:
         batch = activations.shape[0]
         out = np.empty((batch, num_filters, out_y, out_x), dtype=out_dtype)
@@ -200,9 +190,8 @@ def conv2d(
                 stride,
             )
             for b in range(batch):
-                result = zskip.partitioned_gemm(
-                    cols[b], transposed[g], mode, cutoff
-                )  # (out_y*out_x, group_filters)
+                # (out_y*out_x, group_filters)
+                result = kernels.partitioned_gemm(cols[b], weights, g, groups)
                 out[b, g * group_filters : (g + 1) * group_filters] = (
                     result.T.reshape(group_filters, out_y, out_x)
                 )
@@ -216,9 +205,8 @@ def conv2d(
         cols = im2col(
             padded[g * group_depth : (g + 1) * group_depth], kernel_y, kernel_x, stride
         )
-        result = zskip.partitioned_gemm(
-            cols, transposed[g], mode, cutoff
-        )  # (out_y*out_x, group_filters)
+        # (out_y*out_x, group_filters)
+        result = kernels.partitioned_gemm(cols, weights, g, groups)
         out[g * group_filters : (g + 1) * group_filters] = result.T.reshape(
             group_filters, out_y, out_x
         )
@@ -422,20 +410,14 @@ def fully_connected(
     activations: np.ndarray,
     weights: np.ndarray,
     bias: np.ndarray | None = None,
-    sparse_mode: str | None = None,
 ) -> np.ndarray:
     """Fully-connected layer: flatten input, multiply by ``(out, in)`` weights.
 
     A batched ``(batch, ...)`` input (ndim == 4) yields ``(batch, out)``.
     The matrix-vector product runs per image: BLAS GEMV and GEMM kernels
     accumulate in different orders, so a single stacked GEMM would not be
-    bit-identical to the single-image path (see module docstring).  The
-    matvec routes through :func:`repro.nn.sparse.partitioned_matvec` so
-    the ``CNVLUTIN_SPARSE`` path can skip the zero input elements;
-    ``sparse_mode`` overrides the mode per call (never the bytes).
+    bit-identical to the single-image path (see module docstring).
     """
-    mode = zskip.resolve_mode(sparse_mode)
-    cutoff = zskip.resolve_cutoff()
     if activations.ndim == 4:
         batch = activations.shape[0]
         flat = activations.reshape(batch, -1)
@@ -448,9 +430,7 @@ def fully_connected(
             (batch, weights.shape[0]), dtype=np.result_type(activations, weights)
         )
         for b in range(batch):
-            out[b] = zskip.partitioned_matvec(weights, flat[b], mode, cutoff)
-        # Unconditional add: normalizes the sign of exact zeros so dense
-        # and sparse modes stay byte-identical (see repro.nn.sparse).
+            out[b] = kernels.partitioned_matvec(weights, flat[b])
         out = out + (bias if bias is not None else 0.0)
         return out
     flat = activations.reshape(-1)
@@ -458,7 +438,7 @@ def fully_connected(
         raise ValueError(
             f"FC weight columns {weights.shape[1]} != flattened input {flat.size}"
         )
-    out = zskip.partitioned_matvec(weights, flat, mode, cutoff)
+    out = kernels.partitioned_matvec(weights, flat)
     out = out + (bias if bias is not None else 0.0)
     return out
 

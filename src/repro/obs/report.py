@@ -337,21 +337,6 @@ def metrics_report(manifest: dict, top: int = 15) -> str:
             f"{gauges.get('serve.queue_depth.max', 0):.0f}"
         )
 
-    sparse_gemms = counters.get("engine.sparse.gemms.sparse", 0)
-    dense_gemms = counters.get("engine.sparse.gemms.dense", 0)
-    if sparse_gemms or dense_gemms:
-        macs_total = counters.get("engine.sparse.macs.total", 0)
-        macs_skipped = counters.get("engine.sparse.macs.skipped", 0)
-        skip_rate = macs_skipped / macs_total if macs_total else 0.0
-        parts.append(
-            "\n-- sparse kernels --\n"
-            f"gemms: {sparse_gemms:.0f} sparse / {dense_gemms:.0f} dense "
-            f"({_rate(sparse_gemms, dense_gemms)} sparse)\n"
-            f"macs: {macs_skipped:.0f} of {macs_total:.0f} skipped "
-            f"({skip_rate:.0%}); "
-            f"fallbacks: {counters.get('engine.sparse.fallbacks', 0):.0f}"
-        )
-
     activity: dict[tuple[str, str], dict[str, float]] = {}
     for name, value in gauges.items():
         if not name.startswith("activity."):

@@ -13,13 +13,15 @@ Two halves, used together by :mod:`repro.experiments.parallel` and
   *sites* (``unit:fig9/nin``, ``cache:read``, ``pool:worker``); with no
   spec configured those calls are no-ops, and under a spec they raise,
   crash, delay, or corrupt on chosen trial indices so the chaos test
-  suite can prove the pipeline converges anyway.
+  suite can prove the pipeline converges anyway.  A spec naming a site
+  the program never fires is rejected when parsed.
 
 A third half-sibling, :mod:`repro.reliability.integrity`, defends
 against faults that *don't* crash anything: ABFT checksums over the
-sparse kernels and the ``CNVLUTIN_INTEGRITY`` verification policy, the
-detection side of the serving tier's silent-data-corruption loop
-(detect → quarantine → republish → respawn).
+forward pass's conv GEMMs and FC matvecs (:mod:`repro.nn.sparse`) and
+the ``CNVLUTIN_INTEGRITY`` verification policy, the detection side of
+the serving tier's silent-data-corruption loop (detect → quarantine →
+republish → respawn).
 """
 
 from repro.reliability.faults import (

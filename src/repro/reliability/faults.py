@@ -9,7 +9,7 @@ Spec grammar (rules separated by ``;``)::
 
     CNVLUTIN_FAULTS = rule (";" rule)*
     rule            = site "=" action ("~" probability)? ("@" trials)?
-    site            = "unit:" experiment "/" target
+    site            = "unit:" experiment "/" target   (both non-empty)
                     | "cache:read" | "cache:write" | "pool:worker"
                     | "serve:batch" | "shard:forward" | "shard:serve"
                     | "mem:weights" | "mem:activations"
@@ -60,6 +60,8 @@ Semantics:
 * ``~probability`` makes a rule fire with the given probability, decided
   deterministically from ``CNVLUTIN_FAULT_SEED`` and the (site, trial)
   coordinates — the same seed always injects the same faults.
+* A site outside the grammar (a typo such as ``cache:reed``) is a parse
+  error, not a rule that silently never fires.
 """
 
 from __future__ import annotations
@@ -85,6 +87,18 @@ STATE_ENV = "CNVLUTIN_FAULT_STATE"
 SEED_ENV = "CNVLUTIN_FAULT_SEED"
 
 _ACTIONS = ("raise", "crash", "corrupt", "delay")
+
+#: The fixed sites the program fires (besides ``unit:<experiment>/<target>``).
+SITES = (
+    "cache:read",
+    "cache:write",
+    "pool:worker",
+    "serve:batch",
+    "shard:forward",
+    "shard:serve",
+    "mem:weights",
+    "mem:activations",
+)
 
 
 class InjectedFault(RuntimeError):
@@ -150,6 +164,16 @@ def _parse_trials(text: str, rule: str) -> frozenset[int] | None:
     return indices
 
 
+def _check_site(site: str, rule: str) -> None:
+    experiment, slash, target = site.removeprefix("unit:").partition("/")
+    if site in SITES or (site.startswith("unit:") and slash and experiment and target):
+        return
+    raise ValueError(
+        f"unknown site {site!r} in fault rule {rule!r}; choose from "
+        f"{SITES} or unit:<experiment>/<target>"
+    )
+
+
 def parse_faults(spec: str) -> list[FaultRule]:
     """Parse a ``CNVLUTIN_FAULTS`` spec; raises ValueError on bad grammar."""
     rules: list[FaultRule] = []
@@ -163,6 +187,7 @@ def parse_faults(spec: str) -> list[FaultRule]:
         site = site.strip()
         if not site:
             raise ValueError(f"fault rule {clause!r} has an empty site")
+        _check_site(site, clause)
         rest = rest.strip()
         trials: frozenset[int] | None = frozenset({0})
         if "@" in rest:

@@ -9,22 +9,23 @@ supply the healing half.
 
 ABFT column checksums (Huang & Abraham)
 ---------------------------------------
-For the conv GEMM ``product = cols @ wt`` the all-ones right checksum
-gives the invariant::
+For the conv GEMM ``product = cols @ wt`` (``wt = w_g.T``, the group's
+filter matrix seen transposed) the all-ones right checksum gives the
+invariant::
 
     product @ 1  ==  cols @ (wt @ 1)
 
 i.e. each output row's sum must equal the patch row dotted with the
 weight matrix's row-sum vector.  The row-sum vector ``wt @ 1`` (and its
-absolute companion, used for the tolerance bound) is computed once per
-weight array and cached by ``id`` with a weakref finalizer — exactly the
-:func:`repro.nn.sparse.transposed_weights` idiom — so the steady-state
-verification cost is one ``(M, K)`` GEMV plus one ``(M, N)`` row sum per
-GEMM: ``O(1/N + 1/K)`` of the GEMM itself.  The FC matvec invariant is
-the transpose: ``sum(weights @ flat) == (1 @ weights) @ flat`` with the
-column-sum vector cached per weight array, which as a side effect
-detects in-place corruption of FC weights (the cached checksum no longer
-matches the live array).
+absolute companion, used for the tolerance bound) is computed once and
+cached with a weakref finalizer, keyed on the stable 4-D filter bank
+plus the group index (``wt`` itself is a fresh view on every call), so
+the steady-state verification cost is one ``(M, K)`` GEMV plus one
+``(M, N)`` row sum per GEMM: ``O(1/N + 1/K)`` of the GEMM itself.  The
+FC matvec invariant is the transpose: ``sum(weights @ flat) ==
+(1 @ weights) @ flat`` with the column-sum vector cached per weight
+array.  As a side effect both caches detect in-place corruption of the
+weights: the cached checksum no longer matches the live array.
 
 Verification is **read-only**: it compares freshly computed scalars
 against the kernel's result and raises :class:`IntegrityError` on
@@ -58,12 +59,13 @@ Known blind spots, by construction:
   perturbation at column ``k`` scales with ``(wt @ 1)[k]``, so if the
   weight row-sums cancel to ~0 at ``k`` the perturbation is invisible.
   (A second, weighted checksum would close this at twice the cost.)
-* Corruption that precedes *both* sides of the invariant — e.g. a weight
-  bit flipped before the GEMM *and* before the checksum GEMV — is
-  self-consistent and passes.  That case is exactly what the CRC32
-  guard on the shared arena manifest exists for (conv weights enter the
-  GEMM through cached transposes, so call-time checksums can never see
-  arena flips; the FC colsum cache does, as a bonus).
+* Corruption that precedes *both* sides of the invariant — a weight bit
+  flipped before the first verified call, so the cached checksum is
+  built from the flipped weights — is self-consistent and passes.  That
+  case is exactly what the CRC32 guard on the shared arena manifest
+  exists for.  A flip *after* the first verified call is caught by the
+  cached checksums, conv and FC alike, since both kernels multiply the
+  live weight arrays (views of the arena in a shard).
 
 Policy (``CNVLUTIN_INTEGRITY``)
 -------------------------------
@@ -71,11 +73,10 @@ Policy (``CNVLUTIN_INTEGRITY``)
 Sampling decisions are deterministic (``hash_fraction`` over a
 process-global call counter), so a given process verifies the same
 GEMMs run to run.  Junk values warn and fall back to ``off`` — the same
-never-fail contract as ``CNVLUTIN_SPARSE_CUTOFF`` and
-``CNVLUTIN_ENGINE_CACHE_MB``.  ``CNVLUTIN_INTEGRITY_RECHECK_S`` bounds
-how stale a shard's arena CRC check may be between batches (0 =
-re-verify before every reply; the chaos suite's zero-corrupted-responses
-guarantee runs there).
+never-fail contract as ``CNVLUTIN_ENGINE_CACHE_MB``.
+``CNVLUTIN_INTEGRITY_RECHECK_S`` bounds how stale a shard's arena CRC
+check may be between batches (0 = re-verify before every reply; the
+chaos suite's zero-corrupted-responses guarantee runs there).
 """
 
 from __future__ import annotations
@@ -128,7 +129,7 @@ class IntegrityError(RuntimeError):
 
 
 # ----------------------------------------------------------------------
-# policy resolution (the CNVLUTIN_SPARSE_CUTOFF warn+default contract)
+# policy resolution (the CNVLUTIN_ENGINE_CACHE_MB warn+default contract)
 # ----------------------------------------------------------------------
 _policy_memo: dict[str, tuple[str, float]] = {}
 
@@ -229,20 +230,27 @@ def should_verify(policy: tuple[str, float] | None = None, seed: int = 0) -> boo
 
 
 # ----------------------------------------------------------------------
-# cached checksum vectors (the transposed_weights caching idiom)
+# cached checksum vectors
 # ----------------------------------------------------------------------
-_checksum_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+_checksum_cache: dict[tuple[int, int, int], tuple[np.ndarray, np.ndarray]] = {}
 
 
-def _checksums(weights: np.ndarray, axis: int) -> tuple[np.ndarray, np.ndarray]:
+def _checksums(
+    weights: np.ndarray, axis: int, owner: np.ndarray | None = None, group: int = 0
+) -> tuple[np.ndarray, np.ndarray]:
     """``(sum, abs-sum)`` of ``weights`` along ``axis``, cached per array.
 
-    Weight arrays are replaced, not mutated (the repo-wide contract the
-    transpose cache already relies on) — which makes a cached checksum a
-    *detector* of in-place mutation rather than a victim of it: a bit
-    flipped in the live array no longer matches its publish-time sums.
+    The cache key is ``owner`` (default: ``weights`` itself) plus
+    ``group``; the entry dies with ``owner``.  A conv kernel passes its
+    stable 4-D filter bank as ``owner`` because the matrix it verifies
+    is a fresh per-call view of one group of it.  Weight arrays are
+    replaced, not mutated (the repo-wide contract) — which makes a
+    cached checksum a *detector* of in-place mutation rather than a
+    victim of it: a bit flipped in the live array no longer matches its
+    first-use sums.
     """
-    key = id(weights)
+    owner = weights if owner is None else owner
+    key = (id(owner), axis, group)
     entry = _checksum_cache.get(key)
     if entry is None:
         # float64 accumulation: a corrupted float32 weight can sit near
@@ -253,7 +261,7 @@ def _checksums(weights: np.ndarray, axis: int) -> tuple[np.ndarray, np.ndarray]:
             np.abs(weights).sum(axis=axis, dtype=np.float64),
         )
         try:
-            weakref.finalize(weights, _checksum_cache.pop, key, None)
+            weakref.finalize(owner, _checksum_cache.pop, key, None)
         except TypeError:
             return entry  # not weakref-able: hand back uncached
         _checksum_cache[key] = entry
@@ -263,6 +271,14 @@ def _checksums(weights: np.ndarray, axis: int) -> tuple[np.ndarray, np.ndarray]:
 # ----------------------------------------------------------------------
 # the checks
 # ----------------------------------------------------------------------
+def _gemm_tolerance(
+    cols: np.ndarray, wt: np.ndarray, abs_rowsum: np.ndarray
+) -> np.ndarray:
+    eps = float(np.finfo(np.result_type(cols, wt)).eps)
+    scale = SAFETY * eps * math.sqrt(cols.shape[1] + wt.shape[1])
+    return scale * (np.abs(cols) @ abs_rowsum)
+
+
 def gemm_tolerance(cols: np.ndarray, wt: np.ndarray) -> np.ndarray:
     """Per-output-row tolerance of the GEMM checksum comparison.
 
@@ -270,32 +286,36 @@ def gemm_tolerance(cols: np.ndarray, wt: np.ndarray) -> np.ndarray:
     bound ``|cols_i| . (|wt| @ 1)`` — see the module docstring.
     """
     _, abs_rowsum = _checksums(wt, axis=1)
-    eps = float(np.finfo(np.result_type(cols, wt)).eps)
-    scale = SAFETY * eps * math.sqrt(cols.shape[1] + wt.shape[1])
-    return scale * (np.abs(cols) @ abs_rowsum)
+    return _gemm_tolerance(cols, wt, abs_rowsum)
 
 
 def verify_gemm(
-    cols: np.ndarray, wt: np.ndarray, product: np.ndarray, kind: str = "conv"
+    cols: np.ndarray,
+    wt: np.ndarray,
+    product: np.ndarray,
+    owner: np.ndarray | None = None,
+    group: int = 0,
 ) -> None:
     """Check ``product @ 1 == cols @ (wt @ 1)`` within tolerance.
 
-    Read-only; raises :class:`IntegrityError` on the first violating
-    row.  NaN/Inf in the product always violate (comparisons with NaN
-    are False, and the tolerance is finite).
+    ``owner``/``group`` key the cached checksums when ``wt`` is a
+    per-call view of one group of a stable filter bank (see
+    :func:`_checksums`).  Read-only; raises :class:`IntegrityError` on
+    the first violating row.  NaN/Inf in the product always violate
+    (comparisons with NaN are False, and the tolerance is finite).
     """
     obs.counter_add("integrity.checks.abft")
-    rowsum, _ = _checksums(wt, axis=1)
+    rowsum, abs_rowsum = _checksums(wt, axis=1, owner=owner, group=group)
     got = product.sum(axis=1, dtype=np.float64)
     expected = cols @ rowsum
-    tolerance = gemm_tolerance(cols, wt)
+    tolerance = _gemm_tolerance(cols, wt, abs_rowsum)
     ok = np.abs(got - expected) <= tolerance
     if ok.all():
         return
     obs.counter_add("integrity.detected.abft")
     row = int(np.argmin(ok))
     raise IntegrityError(
-        f"ABFT {kind} checksum mismatch at output row {row}: "
+        f"ABFT conv checksum mismatch at output row {row}: "
         f"row sum {got[row]!r} != checksum {expected[row]!r} "
         f"(tolerance {tolerance[row]:.3e})"
     )

@@ -146,9 +146,9 @@ def _build_service(spec: ShardSpec) -> InferenceService:
 def _corrupt_arena(arena) -> None:
     """Apply a ``mem:weights`` corrupt action: flip one arena bit.
 
-    Targets an FC weight segment when one exists — FC weights are read
-    live on every matvec, while conv weights enter GEMMs through cached
-    transposes, so an FC flip both corrupts served bytes *and* is
+    Targets an FC weight segment when one exists, else the first weight
+    segment.  Conv GEMMs and FC matvecs both multiply the arena's pages
+    directly, so the flip both corrupts served bytes *and* is
     CRC-detectable.  The flipped bit is in the exponent byte of a
     float32/float64 word, so the damage is far above any dtype
     tolerance.  Flips land in the *shared* pages: every attached shard

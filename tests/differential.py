@@ -1,57 +1,25 @@
-"""Reusable differential harness: dense vs sparse bit-identity.
+"""Reusable differential harness: batched vs per-image bit-identity.
 
-The contract under test is the strongest one the repo makes: the
-``CNVLUTIN_SPARSE`` compute path (``never`` / ``always`` / ``auto``)
-changes wall-clock time but **never a single output byte** — at the
-kernel level (``conv2d`` / ``fully_connected``), through a whole
-``run_forward`` pass, and for every byte a serving response serializes.
+The contract under test: a layer called on a ``(batch, ...)`` stack
+returns, for every image, exactly the bytes the same layer returns for
+that image alone.  The forward engine, the serving batcher and the
+engine cache all rely on it (``tests/test_forward_engine.py`` and the
+serving differentials check it for whole networks); this harness checks
+it per layer for ``conv2d`` and ``fully_connected``, whose BLAS calls
+are the ones that could break it.
 
 This module is a library, not a test file (pytest does not collect it):
-both the hypothesis property suites and the fixed regression cases in
-``tests/test_sparse_kernels.py`` drive these helpers, and new suites can
-import them to get the same byte-level comparison semantics.  The grid
-spans dtype x stride x pad x groups x batch x pruning threshold.
+``tests/test_layers.py`` drives the grids, and the integrity suite
+reuses the grid and the pruning helper.  The grid spans dtype x stride
+x pad x groups x batch x pruning threshold.
 """
 
 from __future__ import annotations
 
-import contextlib
-import os
 from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
-
-from repro.nn import sparse as zskip
-from repro.nn.inference import run_forward
-
-#: The modes every assertion compares; identity must hold pairwise.
-MODES = ("never", "always", "auto")
-
-
-@contextlib.contextmanager
-def sparse_env(mode: str | None = None, cutoff: float | None = None):
-    """Temporarily pin ``CNVLUTIN_SPARSE`` / ``CNVLUTIN_SPARSE_CUTOFF``."""
-    saved = {
-        name: os.environ.get(name)
-        for name in (zskip.MODE_ENV, zskip.CUTOFF_ENV)
-    }
-    try:
-        if mode is None:
-            os.environ.pop(zskip.MODE_ENV, None)
-        else:
-            os.environ[zskip.MODE_ENV] = mode
-        if cutoff is None:
-            os.environ.pop(zskip.CUTOFF_ENV, None)
-        else:
-            os.environ[zskip.CUTOFF_ENV] = repr(cutoff)
-        yield
-    finally:
-        for name, value in saved.items():
-            if value is None:
-                os.environ.pop(name, None)
-            else:
-                os.environ[name] = value
 
 
 def prune(activations: np.ndarray, threshold: float) -> np.ndarray:
@@ -62,113 +30,22 @@ def prune(activations: np.ndarray, threshold: float) -> np.ndarray:
     return out
 
 
-def _describe(case: str, outputs: dict[str, np.ndarray]) -> str:
-    reference = outputs["never"]
-    lines = [case]
-    for mode, arr in outputs.items():
-        if mode == "never":
-            continue
-        if arr.shape != reference.shape or arr.dtype != reference.dtype:
-            lines.append(
-                f"  {mode}: shape/dtype {arr.shape}/{arr.dtype} != "
-                f"{reference.shape}/{reference.dtype}"
-            )
-        elif arr.tobytes() != reference.tobytes():
-            bad = np.flatnonzero(
-                arr.view(np.uint8) != reference.view(np.uint8)
-            )
-            lines.append(f"  {mode}: first differing byte at {bad[0]}")
-    return "\n".join(lines)
-
-
-def assert_modes_identical(compute, case: str = "") -> np.ndarray:
-    """Run ``compute(mode)`` for every mode; assert byte-identical output.
-
-    ``compute`` maps a mode string to an ndarray.  Returns the reference
-    (``never``-mode) array so callers can chain further checks.
-    """
-    outputs = {mode: np.ascontiguousarray(compute(mode)) for mode in MODES}
-    reference = outputs["never"]
-    identical = all(
-        arr.shape == reference.shape
-        and arr.dtype == reference.dtype
-        and arr.tobytes() == reference.tobytes()
-        for arr in outputs.values()
-    )
-    assert identical, _describe(case or "dense/sparse mismatch", outputs)
-    return reference
-
-
-def assert_conv_identical(
-    activations: np.ndarray,
-    weights: np.ndarray,
-    bias: np.ndarray | None = None,
-    stride: int = 1,
-    pad: int = 0,
-    groups: int = 1,
-    case: str = "",
-) -> np.ndarray:
-    from repro.nn.layers import conv2d
-
-    return assert_modes_identical(
-        lambda mode: conv2d(
-            activations, weights, bias,
-            stride=stride, pad=pad, groups=groups, sparse_mode=mode,
-        ),
-        case or f"conv stride={stride} pad={pad} groups={groups} "
-        f"shape={activations.shape} dtype={activations.dtype}",
-    )
-
-
-def assert_fc_identical(
-    activations: np.ndarray,
-    weights: np.ndarray,
-    bias: np.ndarray | None = None,
-    case: str = "",
-) -> np.ndarray:
-    from repro.nn.layers import fully_connected
-
-    return assert_modes_identical(
-        lambda mode: fully_connected(
-            activations, weights, bias, sparse_mode=mode
-        ),
-        case or f"fc shape={activations.shape} dtype={activations.dtype}",
-    )
-
-
-def forward_fingerprint(
-    network, store, image, thresholds=None
-) -> dict[str, bytes]:
-    """Byte fingerprint of every layer output (+ logits) of one forward."""
-    result = run_forward(
-        network, store, image, thresholds=thresholds, keep_outputs=True
-    )
-    fingerprint = {
-        name: arr.tobytes() for name, arr in result.outputs.items()
-    }
-    if result.logits is not None:
-        fingerprint["__logits__"] = result.logits.tobytes()
-    return fingerprint
-
-
-def assert_forward_identical(network, store, image, thresholds=None) -> None:
-    """Whole-network differential: every layer byte-identical across modes."""
-    fingerprints = {}
-    for mode in MODES:
-        with sparse_env(mode):
-            fingerprints[mode] = forward_fingerprint(
-                network, store, image, thresholds
-            )
-    reference = fingerprints["never"]
-    for mode, fingerprint in fingerprints.items():
-        assert fingerprint.keys() == reference.keys(), mode
-        differing = [
-            name for name, blob in fingerprint.items()
-            if blob != reference[name]
-        ]
-        assert not differing, (
-            f"{network.name}: mode {mode} differs from never at {differing}"
+def assert_batched_matches_single(compute, batch: np.ndarray, case: str = "") -> None:
+    """``compute(batch)[b]`` must equal ``compute(batch[b])`` byte for byte."""
+    batched = compute(batch)
+    assert batched.shape[0] == batch.shape[0], case
+    for index, image in enumerate(batch):
+        single = np.ascontiguousarray(compute(image))
+        row = np.ascontiguousarray(batched[index])
+        assert row.shape == single.shape and row.dtype == single.dtype, (
+            f"{case}: image {index} shape/dtype {row.shape}/{row.dtype} != "
+            f"{single.shape}/{single.dtype}"
         )
+        if row.tobytes() != single.tobytes():
+            bad = np.flatnonzero(row.view(np.uint8) != single.view(np.uint8))
+            raise AssertionError(
+                f"{case}: image {index} first differing byte at {bad[0]}"
+            )
 
 
 @dataclass(frozen=True)
@@ -196,41 +73,48 @@ def grid_cases(
         yield GridCase(*combo)
 
 
-def run_conv_grid(rng: np.random.Generator, cases=None) -> int:
-    """Assert conv bit-identity across the grid; returns cases checked.
+def _grid_input(rng: np.random.Generator, case: GridCase, shape) -> np.ndarray:
+    """Positive-mean activations pruned at the case's threshold."""
+    return prune(
+        np.maximum(rng.normal(0.3, 1.0, size=(case.batch, *shape)), 0.0),
+        case.threshold,
+    ).astype(case.dtype)
 
-    Inputs are positive-mean random activations pruned at the case's
-    threshold (higher thresholds drive up the dead-column fraction, so
-    the grid crosses the ``auto`` cutoff in both directions), with
-    channel count chosen to exercise ``depth % 16 != 0``.
+
+def run_conv_grid(rng: np.random.Generator, cases=None) -> int:
+    """Assert conv batched ≡ per-image across the grid; returns cases checked.
+
+    The channel count is chosen to exercise ``depth % 16 != 0``; higher
+    thresholds leave whole windows and channels at zero.
     """
+    from repro.nn.layers import conv2d
+
     checked = 0
     for case in cases if cases is not None else grid_cases():
         depth = 8 if case.groups == 2 else 7
         kernel = 3
         size = kernel + 2 * case.stride + 2  # a few windows per axis
-        shape = (case.batch, depth, size, size + case.stride)
-        activations = prune(
-            np.maximum(rng.normal(0.3, 1.0, size=shape), 0.0),
-            case.threshold,
-        ).astype(case.dtype)
-        if case.batch == 1:
-            activations = activations[0]
+        activations = _grid_input(rng, case, (depth, size, size + case.stride))
         weights = rng.normal(
             size=(4, depth // case.groups, kernel, kernel)
         ).astype(case.dtype)
         bias = rng.normal(size=4).astype(case.dtype)
-        assert_conv_identical(
-            activations, weights, bias,
-            stride=case.stride, pad=case.pad, groups=case.groups,
-            case=str(case),
+        assert_batched_matches_single(
+            lambda x: conv2d(
+                x, weights, bias,
+                stride=case.stride, pad=case.pad, groups=case.groups,
+            ),
+            activations,
+            str(case),
         )
         checked += 1
     return checked
 
 
 def run_fc_grid(rng: np.random.Generator, cases=None) -> int:
-    """Assert FC bit-identity across the (dtype x batch x threshold) grid."""
+    """Assert FC batched ≡ per-image across the (dtype x batch x threshold) grid."""
+    from repro.nn.layers import fully_connected
+
     checked = 0
     seen = set()
     for case in cases if cases is not None else grid_cases():
@@ -238,15 +122,11 @@ def run_fc_grid(rng: np.random.Generator, cases=None) -> int:
         if key in seen:
             continue
         seen.add(key)
-        shape = (case.batch, 5, 4, 4)
-        activations = prune(
-            np.maximum(rng.normal(0.3, 1.0, size=shape), 0.0),
-            case.threshold,
-        ).astype(case.dtype)
-        if case.batch == 1:
-            activations = activations[0]
+        activations = _grid_input(rng, case, (5, 4, 4))
         weights = rng.normal(size=(9, 5 * 4 * 4)).astype(case.dtype)
         bias = rng.normal(size=9).astype(case.dtype)
-        assert_fc_identical(activations, weights, bias, case=str(case))
+        assert_batched_matches_single(
+            lambda x: fully_connected(x, weights, bias), activations, str(case)
+        )
         checked += 1
     return checked

@@ -2,16 +2,16 @@
 
 Four suites:
 
-* **Policy/env** — one shared checker drives all four warn-and-default
+* **Policy/env** — one shared checker drives all three warn-and-default
   environment validators (``CNVLUTIN_ENGINE_CACHE_MB``,
-  ``CNVLUTIN_SPARSE_CUTOFF``, ``CNVLUTIN_INTEGRITY``,
-  ``CNVLUTIN_INTEGRITY_RECHECK_S``): junk warns and falls back, valid
-  values parse silently, absence is silent.
+  ``CNVLUTIN_INTEGRITY``, ``CNVLUTIN_INTEGRITY_RECHECK_S``): junk warns
+  and falls back, valid values parse silently, absence is silent.
 * **ABFT** — the GEMM/matvec checksum invariants: clean products pass,
   perturbations above the exported detectability thresholds raise
-  :class:`IntegrityError`, verification never mutates the product, and
-  a verified kernel run is byte-identical to an unverified one (the
-  property the serving tier's bit-identity contract rides on).
+  :class:`IntegrityError`, verification never mutates the product, a
+  verified kernel run is byte-identical to an unverified one (the
+  property the serving tier's bit-identity contract rides on), and a
+  conv weight flipped in place after its first verified use raises.
 * **Hypothesis property** — across the dtype × stride × groups grid of
   ``tests/differential.py``: any single-element perturbation of the
   weights or the patch matrix above the dtype-tolerance threshold is
@@ -31,8 +31,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from differential import grid_cases, prune, sparse_env
-from repro.nn import sparse as zskip
+from differential import grid_cases, prune
+from repro.nn import sparse as kernels
 from repro.nn.engine import DEFAULT_CACHE_MB, _cache_budget_bytes
 from repro.nn.layers import conv2d, fully_connected
 from repro.nn.inference import WeightStore
@@ -82,12 +82,6 @@ VALIDATOR_CASES = [
         "banana", int(DEFAULT_CACHE_MB * 1024 * 1024),
         "64", 64 * 1024 * 1024,
         id="engine-cache-mb",
-    ),
-    pytest.param(
-        zskip.CUTOFF_ENV, zskip.resolve_cutoff,
-        "1.5", zskip.DEFAULT_CUTOFF,
-        "0.25", 0.25,
-        id="sparse-cutoff",
     ),
     pytest.param(
         INTEGRITY_ENV, resolve_policy,
@@ -249,8 +243,7 @@ class TestVerifyMatvec:
 
 
 class TestKernelByteIdentity:
-    """Verified runs are byte-identical to unverified runs, and the
-    dense/sparse bit-identity contract survives verification."""
+    """Verified runs are byte-identical to unverified runs."""
 
     def _conv_bytes(self, rng):
         activations = np.maximum(
@@ -278,17 +271,22 @@ class TestKernelByteIdentity:
         assert blobs["always"] == blobs["off"]
         assert blobs["sample:0.5"] == blobs["off"]
 
-    def test_sparse_modes_identical_under_verification(self, monkeypatch):
-        from differential import run_conv_grid
 
+class TestInPlaceWeightFlip:
+    """Under ``always``, a conv weight flipped in place after a first
+    call makes the next call raise: the checksum cached on first use (per
+    filter bank and group) no longer matches the live weights the GEMM
+    multiplies."""
+
+    def test_conv_weight_flip_raises(self, monkeypatch):
         monkeypatch.setenv(INTEGRITY_ENV, "always")
-        cases = [
-            case for case in grid_cases(
-                dtypes=("float32",), strides=(1, 2), pads=(1,),
-                groups=(1, 2), batches=(1,), thresholds=(0.0, 0.8),
-            )
-        ]
-        assert run_conv_grid(np.random.default_rng(5), cases) == len(cases)
+        rng = np.random.default_rng(13)
+        activations = np.abs(rng.normal(size=(8, 6, 6))) + 0.1
+        weights = rng.normal(size=(4, 4, 3, 3))
+        conv2d(activations, weights, pad=1, groups=2)  # caches checksums
+        weights[3, 2, 1, 1] += 1e4 * float(np.abs(weights).max())  # group 1
+        with pytest.raises(IntegrityError, match="conv checksum"):
+            conv2d(activations, weights, pad=1, groups=2)
 
 
 class TestMemActivationsFault:
@@ -296,12 +294,12 @@ class TestMemActivationsFault:
         monkeypatch.setenv(INTEGRITY_ENV, "always")
         monkeypatch.setenv("CNVLUTIN_FAULTS", "mem:activations=corrupt@1")
         cols, wt = make_gemm(seed=7, threshold=0.3)
-        with sparse_env("always"):
-            gemm = lambda: zskip.partitioned_gemm(cols, wt, "always", 0.05)
-            first = gemm()  # trial 0: clean
-            with pytest.raises(IntegrityError):
-                gemm()  # trial 1: corrupted epilogue
-            again = gemm()  # trial 2: clean again
+        weights = np.ascontiguousarray(wt.T)  # (N, K) filter bank
+        gemm = lambda: kernels.partitioned_gemm(cols, weights)
+        first = gemm()  # trial 0: clean
+        with pytest.raises(IntegrityError):
+            gemm()  # trial 1: corrupted epilogue
+        again = gemm()  # trial 2: clean again
         assert np.array_equal(first, again)
 
 

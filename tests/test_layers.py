@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from differential import run_conv_grid, run_fc_grid
 from repro.nn import layers as F
 
 
@@ -258,6 +259,17 @@ class TestFullyConnected:
     def test_shape_mismatch_rejected(self, rng):
         with pytest.raises(ValueError):
             F.fully_connected(rng.normal(size=(4, 2, 2)), rng.normal(size=(5, 10)))
+
+
+class TestBatchedGrid:
+    """Batched conv/FC outputs equal per-image calls byte for byte over
+    the differential grid of ``tests/differential.py``."""
+
+    def test_conv_full_grid(self, rng):
+        assert run_conv_grid(rng) == 216  # 2 x 3 x 3 x 2 x 2 x 3
+
+    def test_fc_full_grid(self, rng):
+        assert run_fc_grid(rng) == 12  # 2 dtypes x 2 batches x 3 thresholds
 
 
 class TestSoftmax:

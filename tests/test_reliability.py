@@ -88,6 +88,8 @@ class TestFaultSpecGrammar:
             "cache:read=raise@x",  # bad trial list
             "cache:read=raise@-1",  # negative trial
             "cache:read=raise~2",  # probability out of range
+            "sparse:gemm=raise",  # a site the program no longer fires
+            "cache:reed=raise@0",  # typo of a real site
         ],
     )
     def test_bad_specs_rejected(self, bad):

@@ -13,7 +13,6 @@ The load-bearing guarantees:
 from __future__ import annotations
 
 import asyncio
-import dataclasses
 import json
 import os
 import socket
@@ -25,7 +24,6 @@ from types import SimpleNamespace
 
 import pytest
 
-from differential import sparse_env
 from repro import obs
 from repro.reliability import FaultInjector, RetryPolicy
 from repro.reliability.faults import parse_faults
@@ -131,36 +129,6 @@ class TestDifferential:
         result = drive(repo, det_config(max_batch=7), workload[:28])
         sizes = {resp.batch_size for resp in result.responses.values()}
         assert max(sizes) == 7
-
-
-class TestSparseDifferential:
-    """CNVLUTIN_SPARSE changes wall time, never a response byte."""
-
-    N = 24
-
-    def _canon_for_mode(self, repo, requests, mode) -> dict[str, bytes]:
-        with sparse_env(mode):
-            result = drive(repo, det_config(max_batch=5), requests)
-        assert result.by_status() == {"ok": self.N}
-        return canon(result)
-
-    def test_sparse_modes_preserve_response_bytes(self, repo):
-        """A mixed-network batch through repro.serve answers identically
-        under ``always``, ``never`` and ``auto`` — including thresholded
-        requests whose pruned activations actually take the sparse path."""
-        requests = build_requests(
-            self.N - 6, networks=list(SERVE_NETWORKS), seed=21
-        ) + build_requests(
-            6, networks=list(SERVE_NETWORKS), seed=22,
-            thresholds={"conv1": 0.5, "conv2": 0.5},
-        )
-        requests = [
-            dataclasses.replace(request, id=f"s{index:06d}")
-            for index, request in enumerate(requests)
-        ]
-        reference = self._canon_for_mode(repo, requests, "never")
-        for mode in ("always", "auto"):
-            assert self._canon_for_mode(repo, requests, mode) == reference
 
 
 class TestSeededShortPass:
