@@ -1,13 +1,13 @@
 """Telemetry-plane overhead on the sharded serving tier.
 
 Drives the same threshold-sweep workload through a 2-shard tier twice —
-telemetry off, and telemetry fully on (1s shard delta pushes, the local
-router sampler, the SLO tracker, and an admin endpoint scraped for
+telemetry off, and telemetry fully on (1s pulls of shard deltas, the
+local router sampler, the SLO tracker, and an admin endpoint scraped for
 ``/stats`` + ``/metrics`` every 500ms for the whole run) — and reports
 closed-loop throughput for each mode.  The mechanism under test is the
 whole live-observability path: ``take_snapshot`` deltas on the shard
-side, the control-socket push, ring-buffer ingestion, and exposition
-rendering under concurrent scrapes.  The run is closed-loop so
+side, the control-socket ``op: obs`` pull, ring-buffer ingestion, and
+exposition rendering under concurrent scrapes.  The run is closed-loop so
 throughput differences are telemetry cost, not queueing artifacts.
 
 Floor (the ISSUE's acceptance criterion): telemetry on costs at most 3%
@@ -55,7 +55,7 @@ VARIANTS_PER_NETWORK = 4
 SHARDS = 2
 BENCH_REQUESTS = 480
 REPEATS = 3
-#: Shard push cadence in the "on" mode (the ISSUE's default interval).
+#: Shard delta pull cadence in the "on" mode (the ISSUE's default interval).
 PUSH_INTERVAL_S = 1.0
 #: Admin scrape cadence while the load runs.
 SCRAPE_INTERVAL_S = 0.5

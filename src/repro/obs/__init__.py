@@ -15,7 +15,7 @@ Zero-dependency tracing + metrics, wired through every hot path:
   runner's ``--metrics`` flag): self-time breakdowns per layer, network,
   and experiment plus cache/retry summaries from any saved manifest.
 * :mod:`repro.obs.timeseries` — the live telemetry plane: windowed
-  per-source aggregation of streamed metric deltas (shard pushes,
+  per-source aggregation of metric deltas (pulled from shards, or
   local sampler ticks) with high-watermark gauges.
 * :mod:`repro.obs.slo` — declared latency/error/shed objectives,
   evaluated into ``slo.*`` gauges and burn-rate counters.

@@ -229,10 +229,12 @@ class MetricsRegistry:
     # ------------------------------------------------------------------
     # snapshot / merge (the cross-process contract)
     # ------------------------------------------------------------------
-    def snapshot(self) -> dict:
-        """JSON-safe view of everything recorded so far."""
+    def snapshot(self, reset: bool = False) -> dict:
+        """JSON-safe view of everything recorded so far.  ``reset=True``
+        clears the registry in the same lock hold, so a concurrent
+        increment lands in this snapshot or the next, never in neither."""
         with self._lock:
-            return {
+            snapshot = {
                 "pid": os.getpid(),
                 "counters": dict(self.counters),
                 "gauges": dict(self.gauges),
@@ -241,6 +243,9 @@ class MetricsRegistry:
                     for name, histogram in self.histograms.items()
                 },
             }
+            if reset:
+                self._clear()
+        return snapshot
 
     def merge_snapshot(self, snapshot: dict) -> None:
         """Fold another registry's snapshot in (counters/histograms sum,
@@ -264,9 +269,12 @@ class MetricsRegistry:
 
     def reset(self) -> None:
         with self._lock:
-            self.counters.clear()
-            self.gauges.clear()
-            self.histograms.clear()
+            self._clear()
+
+    def _clear(self) -> None:
+        self.counters.clear()
+        self.gauges.clear()
+        self.histograms.clear()
 
 
 _REGISTRY = MetricsRegistry()
@@ -311,9 +319,7 @@ def observe(name: str, value: float) -> None:
 def take_snapshot() -> dict:
     """Snapshot *and reset* — what a pool worker ships back per task, so
     a reused worker never re-ships counts it already reported."""
-    snapshot = _REGISTRY.snapshot()
-    _REGISTRY.reset()
-    return snapshot
+    return _REGISTRY.snapshot(reset=True)
 
 
 def merge_snapshot(snapshot: dict) -> None:

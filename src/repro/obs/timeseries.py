@@ -2,10 +2,10 @@
 
 The aggregation half of the live telemetry plane.  Metric *deltas* —
 :func:`repro.obs.take_snapshot` payloads, which are deltas by
-construction because the snapshot resets the registry — stream in from
-several sources (shard processes pushing over their control sockets, or
-a local sampler diffing the in-process registry) and land in a
-:class:`TelemetryPlane`:
+construction because the snapshot resets the registry — arrive from
+several sources (the router's periodic ``op: obs`` pulls of shard
+processes, or a local sampler diffing the in-process registry) and land
+in a :class:`TelemetryPlane`:
 
 * **per-source cumulative** registries (one
   :class:`~repro.obs.metrics.MetricsRegistry` per source, so "p99 on
@@ -17,12 +17,9 @@ a local sampler diffing the in-process registry) and land in a
   tracked across all deltas (``serve.queue_depth`` may read 0 at every
   scrape while having spiked to the queue limit between them).
 
-Ordering is last-write-wins per source: each delta may carry a ``seq``
-number, and a delta at or below the last ingested ``seq`` for its
-source is dropped (a retransmitted or reordered push never double
-counts).  Ingestion never touches request bytes or the serving hot
-path — the plane is fed entirely from control-socket envelopes and
-sampler ticks.
+Each delta is ingested once, by whoever took it.  Ingestion never
+touches request bytes or the serving hot path — the plane is fed
+entirely from control-socket replies and sampler ticks.
 
 :func:`snapshot_delta` is the local-sampler companion: given two
 *cumulative* snapshots of the same registry it returns the delta
@@ -89,7 +86,7 @@ def snapshot_delta(previous: dict, current: dict) -> dict:
 
 
 class TelemetryPlane:
-    """Rolling multi-source aggregation of streamed metric deltas."""
+    """Rolling multi-source aggregation of metric deltas."""
 
     def __init__(
         self,
@@ -103,33 +100,18 @@ class TelemetryPlane:
         self._clock = clock
         self._ring: deque = deque(maxlen=max_points)
         self._cumulative: dict[str, MetricsRegistry] = {}
-        self._seq: dict[str, int] = {}
         self._last_seen: dict[str, float] = {}
         self._local: set[str] = set()
         self._watermarks: dict[str, float] = {}
         self.ingested = 0
-        self.dropped_stale = 0
 
     # ------------------------------------------------------------------
     # ingestion
     # ------------------------------------------------------------------
-    def ingest(
-        self,
-        source: str,
-        delta: dict,
-        seq: int | None = None,
-        local: bool = False,
-    ) -> bool:
-        """Fold one delta from ``source`` in.  Returns False (and counts
-        ``dropped_stale``) when ``seq`` is at or below the source's last
-        ingested sequence number — last write wins per source."""
+    def ingest(self, source: str, delta: dict, local: bool = False) -> None:
+        """Fold one delta from ``source`` in."""
         if not delta:
-            return False
-        if seq is not None:
-            if seq <= self._seq.get(source, -1):
-                self.dropped_stale += 1
-                return False
-            self._seq[source] = seq
+            return
         registry = self._cumulative.get(source)
         if registry is None:
             registry = self._cumulative[source] = MetricsRegistry()
@@ -144,7 +126,6 @@ class TelemetryPlane:
                 self._watermarks[name] = float(value)
         self.ingested += 1
         self._trim(now)
-        return True
 
     def _trim(self, now: float) -> None:
         # Keep one window (plus whatever maxlen already bounded).
@@ -201,7 +182,7 @@ class TelemetryPlane:
     # ------------------------------------------------------------------
     def fold_into(self, registry: MetricsRegistry) -> int:
         """Merge every *remote* source's cumulative metrics into
-        ``registry`` (the process-global one, at stop) so pushed deltas
+        ``registry`` (the process-global one, at stop) so pulled deltas
         end up in the final report exactly once.  Local sources are
         skipped — their deltas were sampled *from* that registry.
         Returns the number of sources folded."""

@@ -34,6 +34,7 @@ import json
 import os
 import threading
 import time
+import warnings
 from pathlib import Path
 
 __all__ = [
@@ -52,17 +53,34 @@ __all__ = [
     "validate_chrome_trace",
 ]
 
-#: Setting this environment variable (to anything non-empty) enables
-#: tracing from process start — how worker processes spawned with the
-#: "spawn" start method inherit the parent's ``--trace`` request.
+#: Setting this environment variable to 1/true/on/yes enables tracing
+#: from process start — how worker processes spawned with the "spawn"
+#: start method inherit the parent's ``--trace`` request.  Empty,
+#: 0/false/off/no and (with a warning) anything else leave it off.
 TRACE_ENV = "CNVLUTIN_TRACE"
+
+_TRACE_ON = ("1", "true", "on", "yes")
+_TRACE_OFF = ("", "0", "false", "off", "no")
+
+
+def _tracing_from_env() -> bool:
+    raw = os.environ.get(TRACE_ENV, "")
+    value = raw.strip().lower()
+    if value not in _TRACE_ON + _TRACE_OFF:
+        warnings.warn(
+            f"ignoring invalid {TRACE_ENV}={raw!r} (expected "
+            f"1|true|on|yes or 0|false|off|no); tracing stays off",
+            RuntimeWarning,
+            stacklevel=3,
+        )
+    return value in _TRACE_ON
 
 
 class _TracerState:
     """Per-process tracer: enabled flag, event buffer, clock anchors."""
 
     def __init__(self) -> None:
-        self.enabled = bool(os.environ.get(TRACE_ENV, "").strip())
+        self.enabled = _tracing_from_env()
         self.events: list[dict] = []
         self.lock = threading.Lock()
         self.local = threading.local()

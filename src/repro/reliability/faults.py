@@ -68,6 +68,7 @@ from __future__ import annotations
 
 import os
 import time
+import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -222,9 +223,17 @@ class FaultInjector:
         if not spec.strip():
             return cls()
         state = environ.get(STATE_ENV)
+        raw_seed = environ.get(SEED_ENV, "0")
         try:
-            seed = int(environ.get(SEED_ENV, "0"))
+            seed = int(raw_seed)
         except ValueError:
+            # Warn and default, like the other CNVLUTIN_* knobs.
+            warnings.warn(
+                f"ignoring invalid {SEED_ENV}={raw_seed!r} "
+                f"(expected an integer); using seed 0",
+                RuntimeWarning,
+                stacklevel=2,
+            )
             seed = 0
         return cls(
             rules=parse_faults(spec),

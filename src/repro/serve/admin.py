@@ -18,7 +18,7 @@ bound to loopback by default, serving the
 
 Every handler samples the local registry first (the controller does it)
 so a scrape always reflects up-to-the-moment local metrics; shard
-freshness is bounded by their push interval.  The server never touches
+freshness is bounded by the router's pull interval.  The server never touches
 the request path — it reads the telemetry plane, which is fed entirely
 off the serving hot path.
 

@@ -26,8 +26,8 @@ an in-process service.
     throughput, p50/p95/p99 per source, SLO burn rates, shard health.
 
 Live telemetry: ``--telemetry-interval S`` (default 1s) samples local
-metrics — and, with ``--shards``, streams per-shard metric deltas over
-the control sockets — into a rolling window; ``--admin-port PORT``
+metrics — and, with ``--shards``, pulls each shard's metric delta over
+its control socket — into a rolling window; ``--admin-port PORT``
 exposes it over HTTP as ``/stats`` (JSON), ``/metrics`` (Prometheus
 text exposition), ``/slo``, and ``/healthz``; ``--slo SPEC`` overrides
 the declared objectives.
@@ -163,8 +163,8 @@ def _add_service_args(parser: argparse.ArgumentParser) -> None:
                         help="admin endpoint bind address (default loopback)")
     parser.add_argument("--telemetry-interval", type=float, default=1.0,
                         metavar="S", help="seconds between local telemetry "
-                        "samples and per-shard metric-delta pushes "
-                        "(0 disables streaming telemetry)")
+                        "samples and the router's pulls of each shard's "
+                        "metric delta (0 disables live telemetry)")
     parser.add_argument("--slo", default=None, metavar="SPEC",
                         help="SLO overrides, comma-separated: "
                         "latency_p99_ms=<ms>,error_rate=<frac>,"
@@ -230,7 +230,7 @@ async def _start_telemetry(service, args):
 
     The controller samples the local registry on ``--telemetry-interval``
     and — for the sharded tier — shares the router's
-    :class:`~repro.obs.timeseries.TelemetryPlane`, so streamed shard
+    :class:`~repro.obs.timeseries.TelemetryPlane`, so pulled shard
     deltas and local samples land in one windowed view.  The admin
     server only exists under ``--admin-port``.
     """
@@ -478,7 +478,7 @@ def _render_top(stats: dict) -> str:
     ]
     for name, info in sorted(stats.get("sources", {}).items()):
         digest = info.get("latency_ms") or {}
-        mode = "local" if info.get("local") else "push"
+        mode = "local" if info.get("local") else "pull"
         lines.append(
             f"  {name:<10} {mode:<6} age {info.get('age_s', 0.0):>6.1f}s  "
             f"req {info.get('requests', 0.0):>9.0f}  "

@@ -49,10 +49,12 @@ Observability: ``router.requests`` / ``router.forwarded`` (+
 ``router.forwarded.shard<i>``) / ``router.shed`` / ``router.retries`` /
 ``router.failovers`` / ``router.deaths`` / ``router.respawns``
 counters, a ``router.live_shards`` gauge, a ``router.forward_ms``
-histogram, and a ``router.forward`` span per attempt;
-:meth:`ShardedService.collect_obs` pulls every shard's metrics snapshot
-and trace buffer into the router process, so one Chrome trace shows
-router and shard time across pids on a single timeline.  Integrity adds
+histogram, and a ``router.forward`` span per attempt.  Shard metrics
+arrive only by the router's ``op: obs`` pull: a metric delta plus the
+shard's trace buffer (one Chrome trace then shows router and shard time
+across pids on a single timeline).  It pulls into the windowed
+:class:`TelemetryPlane` every ``telemetry_interval_s``, and into the
+global registry in :meth:`ShardedService.collect_obs`.  Integrity adds
 ``integrity.detected.<crc|abft|canary>``, ``integrity.quarantines`` (+
 ``.<reason>``), ``integrity.republishes``, ``integrity.canary.probes``
 and ``integrity.arena.swept`` — all counted router-side, because a
@@ -122,9 +124,9 @@ class ShardTierConfig:
     #: response bytes probed on every live shard); None disables the
     #: background loop — ``run_canary()`` can still be called directly.
     canary_interval_s: float | None = None
-    #: Seconds between each shard's unsolicited telemetry pushes of
-    #: metric deltas over the control socket (None = no streaming; the
-    #: stop-time ``op: obs`` pull remains the only metrics hand-off).
+    #: Seconds between the router's ``op: obs`` pulls of every shard's
+    #: metric delta into :attr:`ShardedService.telemetry` (None = no
+    #: live telemetry; the stop-time pull remains the only hand-off).
     telemetry_interval_s: float | None = None
 
     def __post_init__(self) -> None:
@@ -189,8 +191,8 @@ class _ShardClient:
                     break
                 envelope = json.loads(line)
                 if "evt" in envelope:
-                    # Unsolicited shard push (e.g. an integrity report);
-                    # no rid, never resolves a pending call.
+                    # Unsolicited shard push (an integrity report); no
+                    # rid, never resolves a pending call.
                     if self._on_event is not None:
                         self._on_event(self, envelope)
                     continue
@@ -292,9 +294,9 @@ class ShardedService:
         self._stopping = False
         self._quarantined: set[int] = set()
         self._golden: dict[str, bytes] = {}
-        # Always present (ingestion is cheap and only happens when
-        # shards actually push): the windowed aggregation of streamed
-        # shard deltas the admin endpoint reads.
+        # Always present (it stays empty unless telemetry_interval_s is
+        # set): the windowed aggregation of pulled shard deltas the
+        # admin endpoint reads.
         self.telemetry = TelemetryPlane()
 
     # ------------------------------------------------------------------
@@ -326,7 +328,6 @@ class ShardedService:
             fault_seed=self.tier.fault_seed,
             integrity=self.tier.integrity,
             integrity_recheck_s=self.tier.integrity_recheck_s,
-            telemetry_interval_s=self.tier.telemetry_interval_s,
         )
 
     def _spawn(self, index: int) -> _ShardClient:
@@ -362,9 +363,15 @@ class ShardedService:
         self.ring = HashRing(list(self._clients), vnodes=self.tier.vnodes)
         obs.gauge_set("router.live_shards", len(self._clients))
         if self.tier.canary_interval_s is not None:
-            task = asyncio.create_task(self._canary_loop())
-            self._background.add(task)
-            task.add_done_callback(self._background.discard)
+            self._in_background(self._canary_loop())
+        if self.tier.telemetry_interval_s is not None:
+            self._in_background(self._telemetry_loop())
+
+    def _in_background(self, coro) -> None:
+        """Run ``coro`` as a task that ``stop()`` cancels and awaits."""
+        task = asyncio.create_task(coro)
+        self._background.add(task)
+        task.add_done_callback(self._background.discard)
 
     async def drain(self) -> None:
         """Wait for every accepted request to resolve."""
@@ -382,11 +389,11 @@ class ShardedService:
         for task in list(self._background):
             task.cancel()
         await asyncio.gather(*self._background, return_exceptions=True)
-        self.collected = await self.collect_obs()
-        # Streamed telemetry reached only the windowed plane during the
-        # run; fold each shard's cumulative into the global registry now
-        # (shards reset on every push, so the op:obs pull above shipped
-        # only the residual since their last push — totals stay exact).
+        # The periodic pulls (ended above, an in-flight one completed)
+        # fed only the windowed plane; the final pull ships each shard's
+        # residual to the global registry, and the fold adds the plane's
+        # shard totals — every delta a shard handed over, exactly once.
+        await self.collect_obs()
         self.telemetry.fold_into(obs.get_metrics())
         for client in self._clients.values():
             if client.alive:
@@ -453,9 +460,7 @@ class ShardedService:
                 },
             )
         future = loop.create_future()
-        task = asyncio.create_task(self._forward(request, key, future))
-        self._background.add(task)
-        task.add_done_callback(self._background.discard)
+        self._in_background(self._forward(request, key, future))
         self._pending.add(future)
         future.add_done_callback(self._pending.discard)
         return future
@@ -580,9 +585,7 @@ class ShardedService:
             # keys it owned; every other shard's cache stays hot.
             self.ring.remove(client.index)
         obs.gauge_set("router.live_shards", len(self.ring))
-        task = asyncio.create_task(self._respawn(client.index))
-        self._background.add(task)
-        task.add_done_callback(self._background.discard)
+        self._in_background(self._respawn(client.index))
 
     async def _respawn(self, index: int) -> None:
         count = self._respawns.get(index, 0)
@@ -604,9 +607,7 @@ class ShardedService:
             )
         except (TimeoutError, OSError):
             await client.close()
-            task = asyncio.create_task(self._respawn(index))
-            self._background.add(task)
-            task.add_done_callback(self._background.discard)
+            self._in_background(self._respawn(index))
             return
         self._clients[index] = client
         if self.ring is not None and index not in self.ring:
@@ -621,24 +622,11 @@ class ShardedService:
         """Reader-loop callback: a shard pushed an ``evt`` envelope."""
         if self._stopping:
             return
-        evt = envelope.get("evt")
-        if evt == "telemetry":
-            # Streamed metric delta: aggregate into the windowed plane
-            # only — never straight into the global registry, which gets
-            # the plane's fold exactly once at stop (no double counting).
-            self.telemetry.ingest(
-                f"shard{envelope.get('shard', client.index)}",
-                envelope.get("metrics") or {},
-                seq=envelope.get("seq"),
-            )
-            return
-        if evt != "integrity":
+        if envelope.get("evt") != "integrity":
             return
         reason = envelope.get("reason", "unknown")
         obs.counter_add(f"integrity.detected.{reason}")
-        task = asyncio.create_task(self._quarantine(client, reason))
-        self._background.add(task)
-        task.add_done_callback(self._background.discard)
+        self._in_background(self._quarantine(client, reason))
 
     async def _quarantine(self, client: _ShardClient, reason: str) -> None:
         """Detect → quarantine → republish (if corrupt) → respawn.
@@ -739,10 +727,11 @@ class ShardedService:
     # ------------------------------------------------------------------
     # observability
     # ------------------------------------------------------------------
-    async def collect_obs(self) -> int:
-        """Pull every live shard's metrics + trace buffer into this
-        process (snapshot-and-reset on the shard side).  Returns the
-        number of shards that answered."""
+    async def _pull_obs(self, sink) -> int:
+        """Send ``op: obs`` to every live shard: ``sink("shard<i>",
+        delta)`` takes each metric delta (the shard resets as it
+        answers), the span events join this process's trace buffer.
+        Returns the number of shards that answered."""
         answered = 0
         for client in list(self._clients.values()):
             if not client.alive:
@@ -751,7 +740,29 @@ class ShardedService:
                 envelope = await client.call({"op": "obs"}, timeout_s=10.0)
             except (ShardDead, TimeoutError, asyncio.TimeoutError):
                 continue
-            obs.merge_snapshot(envelope.get("metrics") or {})
+            sink(f"shard{client.index}", envelope.get("metrics") or {})
             obs.extend_events(envelope.get("events") or [])
             answered += 1
         return answered
+
+    async def collect_obs(self) -> int:
+        """Pull every live shard's metrics + trace buffer into this
+        process's global registry.  Returns the number of shards that
+        answered."""
+        return await self._pull_obs(
+            lambda source, delta: obs.merge_snapshot(delta)
+        )
+
+    async def _telemetry_loop(self) -> None:
+        """Pull every shard's delta into the windowed plane each
+        ``telemetry_interval_s``."""
+        while True:
+            await asyncio.sleep(self.tier.telemetry_interval_s)
+            pull = asyncio.create_task(self._pull_obs(self.telemetry.ingest))
+            try:
+                await asyncio.shield(pull)
+            except asyncio.CancelledError:
+                # A shard resets as it answers: a pull already sent
+                # must land in the plane before stop() folds it.
+                await pull
+                raise

@@ -29,10 +29,11 @@ Wire protocol (one JSON object per line, each direction)::
     → {"rid": 9, "op": "obs"}               ← {"rid": 9, "metrics": ...,
                                                "events": [...]}
     → {"rid": 10, "op": "shutdown"}         ← {"rid": 10, "ok": true}
-    ← {"evt": "telemetry", "shard": i,      unsolicited periodic push of
-       "seq": n, "metrics": {...}}          metric *deltas* (snapshot-
-                                            and-reset), every
-                                            ``telemetry_interval_s``
+
+``op: obs`` is the one metrics message: the reply carries the metric
+*delta* since the previous one (snapshot-and-reset) and the drained span
+buffer.  The router sends it every ``telemetry_interval_s`` when live
+telemetry is on, and once more at stop.
 
 Fault sites: every request envelope passes through
 ``injector.fire("shard:serve", trial=None)`` — the *global* trial
@@ -105,10 +106,6 @@ class ShardSpec:
     fault_seed: int = 0
     integrity: str | None = None
     integrity_recheck_s: float | None = None
-    #: Seconds between unsolicited ``{"evt": "telemetry"}`` pushes of
-    #: metric deltas to the router (None disables streaming; the final
-    #: ``op: obs`` pull at stop still ships whatever accumulated).
-    telemetry_interval_s: float | None = None
 
 
 def run_shard(spec: ShardSpec) -> None:
@@ -294,40 +291,6 @@ async def _shard_main(spec: ShardSpec) -> None:
             else:
                 await reply({"rid": rid, "fail": f"unknown op {op!r}"})
 
-        async def telemetry_loop() -> None:
-            """Periodic unsolicited push of metric deltas to the router.
-
-            ``take_snapshot`` resets the registry, so each push carries
-            exactly the work since the previous one; the ``seq`` number
-            lets the router drop reordered/stale envelopes (last write
-            wins per shard).  A failed send merges the delta back so a
-            flaky connection never loses counts — they ride the next
-            push or the final ``op: obs`` pull.
-            """
-            seq = 0
-            while True:
-                await asyncio.sleep(spec.telemetry_interval_s)
-                delta = obs.take_snapshot()
-                seq += 1
-                try:
-                    await reply({
-                        "evt": "telemetry",
-                        "shard": spec.index,
-                        "seq": seq,
-                        "interval_s": spec.telemetry_interval_s,
-                        "metrics": delta,
-                    })
-                except asyncio.CancelledError:
-                    obs.merge_snapshot(delta)
-                    raise
-                except (ConnectionError, OSError):
-                    obs.merge_snapshot(delta)
-                    return
-
-        pusher: asyncio.Task | None = None
-        if spec.telemetry_interval_s is not None:
-            pusher = asyncio.create_task(telemetry_loop())
-
         try:
             while True:
                 line = await reader.readline()
@@ -346,8 +309,6 @@ async def _shard_main(spec: ShardSpec) -> None:
                     task.add_done_callback(tasks.discard)
         except asyncio.CancelledError:  # server teardown mid-read
             pass
-        if pusher is not None:
-            pusher.cancel()
         for task in tasks:
             task.cancel()
         writer.close()

@@ -8,9 +8,9 @@ live view (the admin endpoint, ``repro-serve top``, tests):
   registry against its previous snapshot
   (:func:`~repro.obs.timeseries.snapshot_delta`) and ingests the delta
   into the plane under a *local* source name — the router/service's own
-  counters get the same windowed treatment the shard pushes get, and
-  the plane knows not to fold them back at stop (they were sampled
-  *from* the registry being folded into);
+  counters get the same windowed treatment the pulled shard deltas
+  get, and the plane knows not to fold them back at stop (they were
+  sampled *from* the registry being folded into);
 * an **SLO recorder**: each tick re-evaluates the declared objectives
   (:class:`~repro.obs.slo.SloTracker`) against the plane's merged
   totals and writes ``slo.*`` gauges/breach counters into the global
@@ -22,10 +22,12 @@ live view (the admin endpoint, ``repro-serve top``, tests):
   on.
 
 Stop ordering matters: :meth:`TelemetryController.stop` (which takes a
-final local sample) must run *before* the service's own ``stop()``
-folds shard telemetry into the global registry — otherwise the folded
-shard totals would be re-sampled as "local" work.  The CLI owns both
-calls and keeps them in that order.
+final local sample) must run *before* the service's own ``stop()``.
+That ``stop()`` ends the router's periodic ``op: obs`` pulls, makes
+one last pull straight into the global registry, then folds the shard
+deltas the plane holds into it — a local sample taken after that would
+re-count the shard totals as "local" work.  The CLI owns both calls and
+keeps them in that order.
 """
 
 from __future__ import annotations
@@ -149,7 +151,6 @@ class TelemetryController:
             "respawns": int(counters.get("router.respawns", 0)),
             "quarantines": int(counters.get("integrity.quarantines", 0)),
             "reporting_shards": len(shard_sources),
-            "telemetry_dropped_stale": self.plane.dropped_stale,
         }
 
     def stats(self) -> dict:

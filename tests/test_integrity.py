@@ -2,10 +2,11 @@
 
 Four suites:
 
-* **Policy/env** — one shared checker drives all three warn-and-default
+* **Policy/env** — one shared checker drives all four warn-and-default
   environment validators (``CNVLUTIN_ENGINE_CACHE_MB``,
-  ``CNVLUTIN_INTEGRITY``, ``CNVLUTIN_INTEGRITY_RECHECK_S``): junk warns
-  and falls back, valid values parse silently, absence is silent.
+  ``CNVLUTIN_INTEGRITY``, ``CNVLUTIN_INTEGRITY_RECHECK_S``,
+  ``CNVLUTIN_FAULT_SEED``): junk warns and falls back, valid values
+  parse silently, absence is silent.
 * **ABFT** — the GEMM/matvec checksum invariants: clean products pass,
   perturbations above the exported detectability thresholds raise
   :class:`IntegrityError`, verification never mutates the product, a
@@ -38,6 +39,7 @@ from repro.nn.layers import conv2d, fully_connected
 from repro.nn.inference import WeightStore
 from repro.nn.shm import ARENA_PREFIX, SharedWeightArena, sweep_stale_arenas
 from repro.reliability import integrity
+from repro.reliability.faults import FAULTS_ENV, SEED_ENV, FaultInjector
 from repro.reliability.integrity import (
     DEFAULT_RECHECK_S,
     INTEGRITY_ENV,
@@ -76,6 +78,14 @@ def check_env_validator(monkeypatch, env, resolve, junk, default, valid,
         resolve()
 
 
+def _fault_seed() -> int:
+    """The seed ``FaultInjector.from_env`` resolves (it reads the seed
+    only when a fault spec is set)."""
+    environ = dict(os.environ)
+    environ[FAULTS_ENV] = "serve:batch=raise@0"
+    return FaultInjector.from_env(environ).seed
+
+
 VALIDATOR_CASES = [
     pytest.param(
         "CNVLUTIN_ENGINE_CACHE_MB", _cache_budget_bytes,
@@ -94,6 +104,12 @@ VALIDATOR_CASES = [
         "-3", DEFAULT_RECHECK_S,
         "1.5", 1.5,
         id="integrity-recheck",
+    ),
+    pytest.param(
+        SEED_ENV, _fault_seed,
+        "seven", 0,
+        "7", 7,
+        id="fault-seed",
     ),
 ]
 

@@ -10,7 +10,9 @@ without injected faults.
 """
 
 import json
+import sys
 import threading
+import warnings
 
 import pytest
 
@@ -19,6 +21,7 @@ from repro.experiments.config import PaperConfig
 from repro.experiments.manifest import RunManifest, UnitRecord
 from repro.experiments.report import results_to_json_doc
 from repro.experiments.runner import run_all_with_manifest
+from repro.obs import trace
 from repro.obs.metrics import Histogram, MetricsRegistry, sketch_index
 from repro.obs.report import main as obs_main
 from repro.obs.report import metrics_report
@@ -108,6 +111,24 @@ class TestSpans:
         assert event["name"].endswith("helper")
 
 
+class TestTraceEnv:
+    def test_documented_values(self, monkeypatch):
+        for raw, enabled in [
+            ("1", True), ("true", True), (" ON ", True), ("yes", True),
+            ("", False), ("0", False), ("false", False), ("Off", False),
+            ("no", False),
+        ]:
+            monkeypatch.setenv(trace.TRACE_ENV, raw)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert trace._TracerState().enabled is enabled, raw
+
+    def test_junk_warns_and_leaves_tracing_off(self, monkeypatch):
+        monkeypatch.setenv(trace.TRACE_ENV, "maybe")
+        with pytest.warns(RuntimeWarning, match=trace.TRACE_ENV):
+            assert trace._TracerState().enabled is False
+
+
 class TestChromeExport:
     def test_write_and_validate_roundtrip(self, tmp_path):
         obs.enable_tracing()
@@ -189,6 +210,32 @@ class TestMetricsRegistry:
         assert first["counters"]["work.done"] == 2
         second = obs.take_snapshot()
         assert "work.done" not in second["counters"]
+
+    def test_take_snapshot_keeps_concurrent_increments(self):
+        # A shard's worker threads count while its event loop hands
+        # deltas over: every increment lands in exactly one snapshot.
+        per_thread = 20_000
+
+        def count():
+            for _ in range(per_thread):
+                obs.counter_add("work.done")
+
+        workers = [threading.Thread(target=count) for _ in range(3)]
+        seen = 0.0
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for worker in workers:
+                worker.start()
+            while any(worker.is_alive() for worker in workers):
+                seen += obs.take_snapshot()["counters"].get("work.done", 0.0)
+            for worker in workers:
+                worker.join(timeout=10.0)
+        finally:
+            sys.setswitchinterval(previous)
+        assert not any(worker.is_alive() for worker in workers)
+        seen += obs.take_snapshot()["counters"].get("work.done", 0.0)
+        assert seen == per_thread * len(workers)
 
 
 class TestManifestSchema:
