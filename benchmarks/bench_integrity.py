@@ -37,10 +37,12 @@ from __future__ import annotations
 
 import argparse
 import asyncio
+import dataclasses
 import json
 import tempfile
 from pathlib import Path
 
+from repro import settings
 from repro.serve.loadgen import build_sweep_requests, run_load, summarize
 from repro.serve.models import ModelRepository, direct_response
 from repro.serve.requests import canonical_response_bytes
@@ -78,10 +80,13 @@ def _tier(integrity: str) -> ShardTierConfig:
         shards=SHARDS,
         window=16,
         backlog=512,
-        integrity=integrity,
-        # One CRC pass over the arena per deadline, not per reply: the
-        # bench measures the steady-state cadence production would run.
-        integrity_recheck_s=5.0,
+        settings=dataclasses.replace(
+            settings.current(),
+            integrity=integrity,
+            # One CRC pass over the arena per deadline, not per reply: the
+            # bench measures the steady-state cadence production would run.
+            integrity_recheck_s=5.0,
+        ),
     )
 
 

@@ -34,11 +34,13 @@ from __future__ import annotations
 
 import argparse
 import asyncio
+import dataclasses
 import json
 import os
 import tempfile
 from pathlib import Path
 
+from repro import settings
 from repro.nn.shm import process_pss_kb
 from repro.serve.loadgen import build_sweep_requests, run_load, summarize
 from repro.serve.models import ModelRepository, direct_response
@@ -89,7 +91,9 @@ def _tier(shards: int) -> ShardTierConfig:
         shards=shards,
         window=16,
         backlog=512,
-        engine_cache_mb=ENGINE_CACHE_MB,
+        settings=dataclasses.replace(
+            settings.current(), engine_cache_mb=ENGINE_CACHE_MB
+        ),
     )
 
 

@@ -14,11 +14,12 @@ Three scales trade fidelity for runtime:
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
-__all__ = ["PaperConfig", "SCALES", "default_cache_dir"]
+from repro import settings
+
+__all__ = ["PaperConfig", "SCALES"]
 
 SCALES = ("full", "reduced", "tiny")
 
@@ -28,14 +29,6 @@ _SCALE_SETTINGS = {
     "reduced": (112, 115, 3),
     "tiny": (64, 67, 1),
 }
-
-
-def default_cache_dir() -> Path:
-    """Where calibration shifts and timing summaries are cached."""
-    env = os.environ.get("CNVLUTIN_CACHE_DIR")
-    if env:
-        return Path(env)
-    return Path(__file__).resolve().parents[3] / ".cache"
 
 
 @dataclass
@@ -48,7 +41,9 @@ class PaperConfig:
         default_factory=lambda: ["alex", "google", "nin", "vgg19", "cnnM", "cnnS"]
     )
     num_images: int | None = None
-    cache_dir: Path = field(default_factory=default_cache_dir)
+    #: Where calibration shifts and timing summaries are cached
+    #: (default: the process settings' ``cache_dir``).
+    cache_dir: Path = field(default_factory=lambda: settings.current().cache_dir)
     use_cache: bool = True
     #: Include the trained-small-CNN greedy search in fig14 (the costliest
     #: network-independent work unit; CI and the golden test disable it).

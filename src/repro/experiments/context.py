@@ -144,7 +144,7 @@ class ExperimentContext:
         # One injector per context: the artifact cache's fault sites
         # (cache:read / cache:write) share trial counters with the unit
         # sites the parallel runner fires against this same context.
-        self.injector = FaultInjector.from_env()
+        self.injector = FaultInjector.from_settings()
         self.artifacts = (
             artifacts
             if artifacts is not None

@@ -99,7 +99,7 @@ class ArtifactCache:
         self.fingerprint = fingerprint
         self.enabled = enabled
         self.config_hash = stable_hash(fingerprint)
-        self.injector = injector if injector is not None else FaultInjector.from_env()
+        self.injector = injector if injector is not None else FaultInjector.from_settings()
         self.hits = 0
         self.misses = 0
         self.stores = 0

@@ -129,7 +129,7 @@ def run_unit(
     from repro.experiments.thresholds import sweep_deltas
 
     if injector is None:
-        injector = FaultInjector.from_env()
+        injector = FaultInjector.from_settings()
     start = time.perf_counter()
     snapshot = ctx.artifacts.counters()
     status, error, trace = "ok", "", ""
@@ -189,7 +189,7 @@ def run_chain(
     network = units[0].network
     cfg = replace(config, networks=[network]) if network is not None else config
     ctx = ExperimentContext(cfg, arch=arch)
-    injector = FaultInjector.from_env()
+    injector = FaultInjector.from_settings()
     return [
         run_unit(ctx, unit, attempt=attempt, injector=injector)
         for unit, attempt in zip(units, attempts)
@@ -217,7 +217,7 @@ def _worker_chain(
     """
     if trace:
         obs.enable_tracing()
-    FaultInjector.from_env().fire("pool:worker")
+    FaultInjector.from_settings().fire("pool:worker")
     records = run_chain(config, arch, units, attempts)
     return {
         "records": records,
@@ -299,7 +299,7 @@ def execute_units(
             network = chain_units[0].network
             cfg = replace(config, networks=[network]) if network is not None else config
             ctx = ExperimentContext(cfg, arch=arch)
-            injector = FaultInjector.from_env()
+            injector = FaultInjector.from_settings()
             for index, unit in zip(indices, chain_units):
                 attempt = 0
                 while True:

@@ -18,15 +18,15 @@ engine pass replaces ``batch`` per-image :func:`~repro.nn.inference.run_forward`
 calls — bit-identically (differential-tested in
 ``tests/test_forward_engine.py``).
 
-The cache is bounded by a byte budget (``CNVLUTIN_ENGINE_CACHE_MB``
-environment variable, default 512 MiB) with LRU eviction; the engine
-never caches less than the most recent entry, so it degrades to plain
-recomputation under tiny budgets rather than failing.
+The cache is bounded by a byte budget (the process settings'
+``engine_cache_mb``, ``CNVLUTIN_ENGINE_CACHE_MB``, default 512 MiB) with
+LRU eviction; the engine never caches less than the most recent entry,
+so it degrades to plain recomputation under tiny budgets rather than
+failing.
 """
 
 from __future__ import annotations
 
-import os
 import threading
 import time
 from collections import OrderedDict
@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro import obs
+from repro import obs, settings
 from repro.nn.inference import (
     ForwardResult,
     WeightStore,
@@ -54,39 +54,6 @@ __all__ = [
     "attach_shared_weights",
     "attached_arenas",
 ]
-
-#: Default LRU cache budget in MiB; override with CNVLUTIN_ENGINE_CACHE_MB.
-DEFAULT_CACHE_MB = 512.0
-
-
-def _cache_budget_bytes() -> int:
-    """The ``CNVLUTIN_ENGINE_CACHE_MB`` budget in bytes, validated.
-
-    A non-numeric, negative, or non-finite value falls back to the
-    default with a warning — a bad environment variable must never make
-    an import or a first forward pass raise.
-    """
-    import math
-    import warnings
-
-    raw = os.environ.get("CNVLUTIN_ENGINE_CACHE_MB")
-    if raw is None:
-        return int(DEFAULT_CACHE_MB * 1024 * 1024)
-    try:
-        budget_mb = float(raw)
-    except ValueError:
-        budget_mb = -1.0
-    if not math.isfinite(budget_mb) or budget_mb < 0:
-        warnings.warn(
-            f"ignoring invalid CNVLUTIN_ENGINE_CACHE_MB={raw!r} "
-            f"(expected a non-negative number); using the default "
-            f"{DEFAULT_CACHE_MB:g} MiB",
-            RuntimeWarning,
-            stacklevel=3,
-        )
-        budget_mb = DEFAULT_CACHE_MB
-    return int(budget_mb * 1024 * 1024)
-
 
 def attach_shared_weights(manifest: dict) -> dict[str, WeightStore]:
     """Attach a published shared-memory weight arena as engine stores.
@@ -199,8 +166,8 @@ class IncrementalForwardEngine:
         image is promoted to a batch of one.  The stack is computed in its
         own floating dtype (see :func:`~repro.nn.inference.run_forward`).
     cache_bytes:
-        LRU budget for cached layer outputs; defaults to the
-        ``CNVLUTIN_ENGINE_CACHE_MB`` environment variable (512 MiB).
+        LRU budget for cached layer outputs; defaults to the process
+        settings' ``engine_cache_mb`` (512 MiB).
     label:
         Attribution label (typically the network name) for this engine's
         observability output: per-layer compute times are recorded as
@@ -238,7 +205,7 @@ class IncrementalForwardEngine:
         self.scopes = threshold_scopes(network)
         self.stats = EngineStats()
         if cache_bytes is None:
-            cache_bytes = _cache_budget_bytes()
+            cache_bytes = int(settings.current().engine_cache_mb * 1024 * 1024)
         self.cache_bytes = cache_bytes
         # (layer_name, signature) -> (out, logits); LRU order.
         self._cache: OrderedDict[tuple, tuple[np.ndarray, np.ndarray | None]] = (

@@ -22,10 +22,10 @@ Epilogue: fault site and ABFT check
 Both kernels end the same way: they (1) fire the ``mem:activations``
 fault site, where a ``corrupt`` rule perturbs one element of the fresh
 product in place, modelling a bad store of a layer output, and then
-(2) verify the Huang-Abraham checksum invariant under the
-``CNVLUTIN_INTEGRITY`` policy (see
-:mod:`repro.reliability.integrity`).  Verification is read-only, so a
-verified run is byte-identical to an unverified one; a violation raises
+(2) verify the Huang-Abraham checksum invariant under the process
+settings' integrity policy (see :mod:`repro.reliability.integrity`).
+Verification is read-only, so a verified run is byte-identical to an
+unverified one; a violation raises
 :class:`~repro.reliability.integrity.IntegrityError`, which the serving
 retry policy treats like any transient failure.  Conv checksums are
 cached per 4-D filter bank and group, FC checksums per weight matrix, so
@@ -35,11 +35,9 @@ matches its cached checksum and raises.
 
 from __future__ import annotations
 
-import os
-import threading
-
 import numpy as np
 
+from repro import settings
 from repro.reliability import integrity
 from repro.reliability.faults import FaultInjector
 
@@ -53,24 +51,24 @@ __all__ = [
 #: rule perturbs one element of the product before verification.
 MEM_ACTIVATIONS_SITE = "mem:activations"
 
-_injector_lock = threading.Lock()
-_injector_spec: str | None = None
-_injector: FaultInjector | None = None
+#: The kernel-site injector and the settings it was built from.
+_injector: tuple[settings.Settings, FaultInjector] | None = None
+
+
+def rebuild_injector() -> FaultInjector:
+    """Build the kernel-site injector, with fresh trial counters, from
+    the process settings."""
+    global _injector
+    _injector = (settings.current(), FaultInjector.from_settings())
+    return _injector[1]
 
 
 def _current_injector() -> FaultInjector:
-    """A process-wide injector rebuilt whenever ``CNVLUTIN_FAULTS`` changes.
-
-    Hit counters persist across calls (like the long-lived injectors of
-    the pipeline and the serving layer) as long as the spec is stable.
-    """
-    global _injector_spec, _injector
-    spec = os.environ.get("CNVLUTIN_FAULTS", "")
-    with _injector_lock:
-        if _injector is None or spec != _injector_spec:
-            _injector = FaultInjector.from_env()
-            _injector_spec = spec
-        return _injector
+    """The kernel-site injector; rebuilt when other settings are
+    installed, so its trial counters persist only under the same ones."""
+    if _injector is None or _injector[0] is not settings.current():
+        return rebuild_injector()
+    return _injector[1]
 
 
 def _maybe_corrupt_output(result: np.ndarray) -> None:
@@ -78,9 +76,9 @@ def _maybe_corrupt_output(result: np.ndarray) -> None:
 
     The perturbation is deterministic (middle element, magnitude far
     above any ABFT tolerance) and happens *before* verification, so an
-    active ``CNVLUTIN_INTEGRITY`` policy must catch it while an ``off``
-    policy lets the corrupted block flow downstream — the difference the
-    chaos suite measures.
+    active integrity policy must catch it while an ``off`` policy lets
+    the corrupted block flow downstream — the difference the chaos suite
+    measures.
     """
     injector = _current_injector()
     if not injector.enabled:

@@ -12,8 +12,8 @@ Tracing is **off by default and off-by-default-cheap**: with tracing
 disabled :func:`span` returns a shared no-op object without reading the
 clock or touching any buffer, so instrumented hot paths (per-layer
 forwards, per-unit execution) cost one predicate check.  Enabling it
-(``--trace trace.json`` on the experiment runner, or the
-``CNVLUTIN_TRACE`` environment variable) buffers completed spans
+(``--trace trace.json`` on the experiment runner, or the process
+settings' ``trace`` field, ``CNVLUTIN_TRACE``) buffers completed spans
 per process; :func:`drain_events` hands the buffer to whoever ships it
 (the parallel runner returns worker buffers through the pool and merges
 them into the parent's), and :func:`write_chrome_trace` serializes the
@@ -34,11 +34,11 @@ import json
 import os
 import threading
 import time
-import warnings
 from pathlib import Path
 
+from repro import settings
+
 __all__ = [
-    "TRACE_ENV",
     "Span",
     "span",
     "traced",
@@ -53,34 +53,15 @@ __all__ = [
     "validate_chrome_trace",
 ]
 
-#: Setting this environment variable to 1/true/on/yes enables tracing
-#: from process start — how worker processes spawned with the "spawn"
-#: start method inherit the parent's ``--trace`` request.  Empty,
-#: 0/false/off/no and (with a warning) anything else leave it off.
-TRACE_ENV = "CNVLUTIN_TRACE"
-
-_TRACE_ON = ("1", "true", "on", "yes")
-_TRACE_OFF = ("", "0", "false", "off", "no")
-
-
-def _tracing_from_env() -> bool:
-    raw = os.environ.get(TRACE_ENV, "")
-    value = raw.strip().lower()
-    if value not in _TRACE_ON + _TRACE_OFF:
-        warnings.warn(
-            f"ignoring invalid {TRACE_ENV}={raw!r} (expected "
-            f"1|true|on|yes or 0|false|off|no); tracing stays off",
-            RuntimeWarning,
-            stacklevel=3,
-        )
-    return value in _TRACE_ON
-
 
 class _TracerState:
     """Per-process tracer: enabled flag, event buffer, clock anchors."""
 
     def __init__(self) -> None:
-        self.enabled = _tracing_from_env()
+        #: None until enable/disable_tracing() is called; until then
+        #: the process settings' ``trace`` decides, read at each check
+        #: rather than at import, so importing repro.obs parses nothing.
+        self.enabled: bool | None = None
         self.events: list[dict] = []
         self.lock = threading.Lock()
         self.local = threading.local()
@@ -179,7 +160,7 @@ _NULL_SPAN = _NullSpan()
 
 def span(name: str, cat: str = "app", **attrs):
     """A context manager tracing ``name``; a shared no-op when disabled."""
-    if not _STATE.enabled:
+    if not tracing_enabled():
         return _NULL_SPAN
     return Span(name, cat, attrs)
 
@@ -193,7 +174,7 @@ def traced(name: str | None = None, cat: str = "app"):
 
         @functools.wraps(func)
         def wrapper(*args, **kwargs):
-            if not _STATE.enabled:
+            if not tracing_enabled():
                 return func(*args, **kwargs)
             with Span(span_name, cat, {}):
                 return func(*args, **kwargs)
@@ -212,7 +193,8 @@ def disable_tracing() -> None:
 
 
 def tracing_enabled() -> bool:
-    return _STATE.enabled
+    enabled = _STATE.enabled
+    return settings.current().trace if enabled is None else enabled
 
 
 def reset_tracing() -> None:

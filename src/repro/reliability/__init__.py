@@ -8,9 +8,10 @@ Two halves, used together by :mod:`repro.experiments.parallel` and
   deterministic exponential-backoff-with-jitter schedule between
   attempts.
 * :mod:`repro.reliability.faults` — a deterministic, seedable
-  fault-injection harness driven by the ``CNVLUTIN_FAULTS`` environment
-  variable.  Production code calls :meth:`FaultInjector.fire` at named
-  *sites* (``unit:fig9/nin``, ``cache:read``, ``pool:worker``); with no
+  fault-injection harness driven by the process settings' fault spec
+  (``CNVLUTIN_FAULTS``; see :mod:`repro.settings`).  Production code
+  calls :meth:`FaultInjector.fire` at named *sites* (``unit:fig9/nin``,
+  ``cache:read``, ``pool:worker``); with no
   spec configured those calls are no-ops, and under a spec they raise,
   crash, delay, or corrupt on chosen trial indices so the chaos test
   suite can prove the pipeline converges anyway.  A spec naming a site
@@ -18,10 +19,10 @@ Two halves, used together by :mod:`repro.experiments.parallel` and
 
 A third half-sibling, :mod:`repro.reliability.integrity`, defends
 against faults that *don't* crash anything: ABFT checksums over the
-forward pass's conv GEMMs and FC matvecs (:mod:`repro.nn.sparse`) and
-the ``CNVLUTIN_INTEGRITY`` verification policy, the detection side of
-the serving tier's silent-data-corruption loop (detect → quarantine →
-republish → respawn).
+forward pass's conv GEMMs and FC matvecs (:mod:`repro.nn.sparse`)
+under the process settings' integrity policy (``CNVLUTIN_INTEGRITY``),
+the detection side of the serving tier's silent-data-corruption loop
+(detect → quarantine → republish → respawn).
 """
 
 from repro.reliability.faults import (
@@ -31,11 +32,7 @@ from repro.reliability.faults import (
     InjectedFault,
     parse_faults,
 )
-from repro.reliability.integrity import (
-    IntegrityError,
-    resolve_recheck_s,
-)
-from repro.reliability.integrity import resolve_policy as resolve_integrity_policy
+from repro.reliability.integrity import IntegrityError
 from repro.reliability.policy import RespawnPolicy, RetryPolicy
 
 __all__ = [
@@ -47,6 +44,4 @@ __all__ = [
     "InjectedFault",
     "IntegrityError",
     "parse_faults",
-    "resolve_integrity_policy",
-    "resolve_recheck_s",
 ]

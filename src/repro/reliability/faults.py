@@ -1,9 +1,10 @@
 """Deterministic, seedable fault injection for the experiment pipeline.
 
 The pipeline calls :meth:`FaultInjector.fire` at named *sites*; which
-calls actually misbehave is controlled by the ``CNVLUTIN_FAULTS``
-environment variable, so the chaos suite (and a CI job) can prove the
-retry/resume machinery converges without touching production code paths.
+calls actually misbehave is controlled by the process settings' fault
+spec (``CNVLUTIN_FAULTS``, validated by :mod:`repro.settings`), so the
+chaos suite (and a CI job) can prove the retry/resume machinery
+converges without touching production code paths.
 
 Spec grammar (rules separated by ``;``)::
 
@@ -68,10 +69,10 @@ from __future__ import annotations
 
 import os
 import time
-import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from repro import settings
 from repro.reliability.policy import hash_fraction
 
 __all__ = [
@@ -81,11 +82,6 @@ __all__ = [
     "FaultInjector",
     "parse_faults",
 ]
-
-#: Environment variables the harness reads.
-FAULTS_ENV = "CNVLUTIN_FAULTS"
-STATE_ENV = "CNVLUTIN_FAULT_STATE"
-SEED_ENV = "CNVLUTIN_FAULT_SEED"
 
 _ACTIONS = ("raise", "crash", "corrupt", "delay")
 
@@ -217,29 +213,10 @@ class FaultInjector:
     _local_counts: dict[str, int] = field(default_factory=dict)
 
     @classmethod
-    def from_env(cls, environ=None) -> "FaultInjector":
-        environ = environ if environ is not None else os.environ
-        spec = environ.get(FAULTS_ENV, "")
-        if not spec.strip():
-            return cls()
-        state = environ.get(STATE_ENV)
-        raw_seed = environ.get(SEED_ENV, "0")
-        try:
-            seed = int(raw_seed)
-        except ValueError:
-            # Warn and default, like the other CNVLUTIN_* knobs.
-            warnings.warn(
-                f"ignoring invalid {SEED_ENV}={raw_seed!r} "
-                f"(expected an integer); using seed 0",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-            seed = 0
-        return cls(
-            rules=parse_faults(spec),
-            state_dir=Path(state) if state else None,
-            seed=seed,
-        )
+    def from_settings(cls) -> "FaultInjector":
+        """An injector for the process settings' fault knobs."""
+        config = settings.current()
+        return cls(parse_faults(config.faults), config.fault_state, config.fault_seed)
 
     @property
     def enabled(self) -> bool:

@@ -69,11 +69,11 @@ Known blind spots, by construction:
 
 Policy (``CNVLUTIN_INTEGRITY``)
 -------------------------------
-``off`` (default), ``always``, or ``sample:p`` with ``p`` in [0, 1].
-Sampling decisions are deterministic (``hash_fraction`` over a
-process-global call counter), so a given process verifies the same
-GEMMs run to run.  Junk values warn and fall back to ``off`` — the same
-never-fail contract as ``CNVLUTIN_ENGINE_CACHE_MB``.
+``off`` (default), ``always``, or ``sample:p`` with ``p`` in [0, 1],
+read from the process settings (:mod:`repro.settings`, which parses
+and validates it with the other knobs).  Sampling decisions are
+deterministic (``hash_fraction`` over a process-global call counter),
+so a given process verifies the same GEMMs run to run.
 ``CNVLUTIN_INTEGRITY_RECHECK_S`` bounds how stale a shard's arena CRC
 check may be between batches (0 = re-verify before every reply; the
 chaos suite's zero-corrupted-responses guarantee runs there).
@@ -83,23 +83,16 @@ from __future__ import annotations
 
 import itertools
 import math
-import os
-import warnings
 import weakref
 
 import numpy as np
 
-from repro import obs
+from repro import obs, settings
 from repro.reliability.policy import hash_fraction
 
 __all__ = [
     "IntegrityError",
-    "INTEGRITY_ENV",
-    "RECHECK_ENV",
-    "DEFAULT_RECHECK_S",
     "SAFETY",
-    "resolve_policy",
-    "resolve_recheck_s",
     "should_verify",
     "verify_gemm",
     "verify_matvec",
@@ -108,109 +101,12 @@ __all__ = [
     "detectable_patch_delta",
 ]
 
-#: Environment variable selecting the verification policy.
-INTEGRITY_ENV = "CNVLUTIN_INTEGRITY"
-
-#: Environment variable bounding arena CRC staleness between batches.
-RECHECK_ENV = "CNVLUTIN_INTEGRITY_RECHECK_S"
-
-#: Default arena recheck deadline (seconds).  Chaos runs set 0 so every
-#: reply re-verifies; production amortizes the CRC sweep.
-DEFAULT_RECHECK_S = 5.0
-
 #: Headroom multiplier of the rounding-error tolerance (module docstring).
 SAFETY = 256.0
-
-DEFAULT_POLICY = ("off", 0.0)
 
 
 class IntegrityError(RuntimeError):
     """A checksum invariant failed: the data or the compute is corrupt."""
-
-
-# ----------------------------------------------------------------------
-# policy resolution (the CNVLUTIN_ENGINE_CACHE_MB warn+default contract)
-# ----------------------------------------------------------------------
-_policy_memo: dict[str, tuple[str, float]] = {}
-
-
-def _parse_policy(raw: str) -> tuple[str, float] | None:
-    """``(mode, p)`` for a valid spec, ``None`` for junk."""
-    text = raw.strip().lower()
-    if text == "off":
-        return ("off", 0.0)
-    if text == "always":
-        return ("always", 1.0)
-    if text.startswith("sample:"):
-        try:
-            p = float(text[len("sample:"):])
-        except ValueError:
-            return None
-        if not math.isfinite(p) or not 0.0 <= p <= 1.0:
-            return None
-        return ("sample", p)
-    return None
-
-
-def resolve_policy(value: str | None = None) -> tuple[str, float]:
-    """The effective ``(mode, probability)`` verification policy.
-
-    Explicit arguments raise on junk (a caller bug); the environment
-    variable warns and falls back to ``off`` — a typo in the environment
-    must never make a forward pass fail.  Parses are memoized per raw
-    string so the per-GEMM cost is one dict lookup (and the warning
-    fires once per junk value, not once per kernel call).
-    """
-    if value is not None:
-        parsed = _parse_policy(value)
-        if parsed is None:
-            raise ValueError(
-                f"integrity policy must be off|always|sample:p, got {value!r}"
-            )
-        return parsed
-    raw = os.environ.get(INTEGRITY_ENV)
-    if raw is None:
-        return DEFAULT_POLICY
-    cached = _policy_memo.get(raw)
-    if cached is not None:
-        return cached
-    parsed = _parse_policy(raw)
-    if parsed is None:
-        warnings.warn(
-            f"ignoring invalid {INTEGRITY_ENV}={raw!r} "
-            f"(expected off|always|sample:p with p in [0, 1]); "
-            f"integrity checking stays off",
-            RuntimeWarning,
-            stacklevel=3,
-        )
-        parsed = DEFAULT_POLICY
-    _policy_memo[raw] = parsed
-    return parsed
-
-
-def resolve_recheck_s() -> float:
-    """The arena recheck deadline from ``CNVLUTIN_INTEGRITY_RECHECK_S``.
-
-    Junk (non-numeric, non-finite, negative) warns and falls back to
-    :data:`DEFAULT_RECHECK_S`, mirroring :func:`resolve_policy`.
-    """
-    raw = os.environ.get(RECHECK_ENV)
-    if raw is None:
-        return DEFAULT_RECHECK_S
-    try:
-        seconds = float(raw)
-    except ValueError:
-        seconds = float("nan")
-    if not math.isfinite(seconds) or seconds < 0.0:
-        warnings.warn(
-            f"ignoring invalid {RECHECK_ENV}={raw!r} "
-            f"(expected seconds >= 0); using the default "
-            f"{DEFAULT_RECHECK_S:g}",
-            RuntimeWarning,
-            stacklevel=3,
-        )
-        return DEFAULT_RECHECK_S
-    return seconds
 
 
 #: Process-global verification-decision counter: with ``sample:p`` the
@@ -220,8 +116,13 @@ _decision_counter = itertools.count()
 
 
 def should_verify(policy: tuple[str, float] | None = None, seed: int = 0) -> bool:
-    """Decide whether this kernel call verifies (deterministic sampling)."""
-    mode, p = policy if policy is not None else resolve_policy()
+    """Decide whether this kernel call verifies (deterministic sampling).
+
+    ``policy`` defaults to the process settings' ``integrity_policy``.
+    """
+    if policy is None:
+        policy = settings.current().integrity_policy
+    mode, p = policy
     if mode == "off":
         return False
     if mode == "always":

@@ -53,6 +53,10 @@ CRC recheck (``--integrity-recheck-s``) and canary sweep
 response through direct inference and counts byte mismatches (the chaos
 suite's zero-corrupted-responses gate).
 
+The integrity flags override this process's and every shard's settings
+(:mod:`repro.settings`); ``--shard-cache-mb`` and ``loadgen --trace``
+the shards' only.  Junk in any of them exits 2 before anything runs.
+
 Exit status: 0 on success, 1 when the workload saw any ``error``
 responses, 2 on bad usage.
 """
@@ -61,15 +65,15 @@ from __future__ import annotations
 
 import argparse
 import asyncio
+import dataclasses
 import json
-import os
 import signal
 import sys
 
+from repro import settings
 from repro.nn.models import network_names
 from repro.obs.slo import parse_slo_spec
 from repro.reliability import RetryPolicy
-from repro.reliability.integrity import INTEGRITY_ENV, RECHECK_ENV
 from repro.serve.admin import AdminServer
 from repro.serve.loadgen import (
     build_requests,
@@ -112,6 +116,14 @@ def _parse_kinds(text: str) -> list[str]:
     return kinds
 
 
+def _setting(name: str):
+    """An argparse type parsing a flag as the ``Settings`` field ``name``
+    (argparse turns its ValueError on junk into exit 2)."""
+    parse = lambda text: getattr(settings.Settings(**{name: text}), name)
+    parse.__name__ = name
+    return parse
+
+
 def _add_service_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--scale", default="tiny",
                         choices=["tiny", "reduced", "full"])
@@ -135,16 +147,18 @@ def _add_service_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--shard-backlog", type=int, default=64,
                         help="waiting requests per shard before the router "
                         "sheds")
-    parser.add_argument("--shard-cache-mb", type=float, default=None,
-                        metavar="MB", help="per-shard CNVLUTIN_ENGINE_CACHE_MB"
-                        " override")
+    parser.add_argument("--shard-cache-mb", type=_setting("engine_cache_mb"),
+                        default=None, metavar="MB", help="per-shard "
+                        "CNVLUTIN_ENGINE_CACHE_MB override")
     parser.add_argument("--start-method", default="fork",
                         choices=["fork", "spawn"],
                         help="multiprocessing start method for shards")
-    parser.add_argument("--integrity", default=None, metavar="MODE",
+    parser.add_argument("--integrity", type=_setting("integrity"),
+                        default=None, metavar="MODE",
                         help="CNVLUTIN_INTEGRITY mode: off, always, or "
                         "sample:P (ABFT kernel checksums + arena CRC)")
-    parser.add_argument("--integrity-recheck-s", type=float, default=None,
+    parser.add_argument("--integrity-recheck-s",
+                        type=_setting("integrity_recheck_s"), default=None,
                         metavar="S", help="seconds between shard arena CRC "
                         "rechecks (0 = before every reply)")
     parser.add_argument("--canary-interval", type=float, default=None,
@@ -185,26 +199,33 @@ def _service_config(args) -> ServeConfig:
     )
 
 
+def _with_flags(base: settings.Settings, **flags) -> settings.Settings:
+    """``base`` with the fields the command line set (None = not set)."""
+    flags = {name: value for name, value in flags.items() if value is not None}
+    return dataclasses.replace(base, **flags)
+
+
 def _build_service(args, trace: bool = False):
-    """The in-process service, or the sharded tier when ``--shards N``."""
+    """The in-process service, or the sharded tier when ``--shards N``.
+
+    Installs this process's settings first; the shards get them plus
+    the shard-only flags.
+    """
     config = _service_config(args)
-    if args.integrity is not None:
-        # Shards get the mode via their spec; this covers the
-        # single-process path and the router's own direct inference.
-        os.environ[INTEGRITY_ENV] = args.integrity
-    if args.integrity_recheck_s is not None:
-        os.environ[RECHECK_ENV] = str(args.integrity_recheck_s)
+    process = settings.install(_with_flags(
+        settings.current(), integrity=args.integrity,
+        integrity_recheck_s=args.integrity_recheck_s,
+    ))
     if not args.shards:
         return InferenceService(config)
     tier = ShardTierConfig(
         shards=args.shards,
         window=args.shard_window,
         backlog=args.shard_backlog,
-        engine_cache_mb=args.shard_cache_mb,
         start_method=args.start_method,
-        trace=trace,
-        integrity=args.integrity,
-        integrity_recheck_s=args.integrity_recheck_s,
+        settings=_with_flags(
+            process, engine_cache_mb=args.shard_cache_mb, trace=trace or None
+        ),
         canary_interval_s=args.canary_interval,
         telemetry_interval_s=args.telemetry_interval or None,
     )

@@ -12,8 +12,8 @@ N :mod:`repro.serve.shard` worker processes:
    that configuration's layer prefixes hot — the PR-2 prefix-reuse
    property, preserved per shard instead of diluted across all of them.
    Aggregate engine-cache capacity therefore scales with the shard
-   count while each process stays inside its own
-   ``CNVLUTIN_ENGINE_CACHE_MB`` budget.
+   count while each process stays inside its own ``engine_cache_mb``
+   budget.
 2. **Shared weights.** The router builds the calibrated stores once,
    publishes them into one :class:`~repro.nn.shm.SharedWeightArena`,
    and shards attach zero-copy read-only views — adding a shard adds
@@ -72,7 +72,7 @@ import time
 from dataclasses import dataclass
 from pathlib import Path
 
-from repro import obs
+from repro import obs, settings
 from repro.experiments.context import ExperimentContext
 from repro.nn.shm import SharedWeightArena, sweep_stale_arenas
 from repro.obs.timeseries import TelemetryPlane
@@ -111,15 +111,9 @@ class ShardTierConfig:
     forward_timeout_s: float = 60.0
     connect_timeout_s: float = 15.0
     start_method: str = "fork"
-    engine_cache_mb: float | None = None
-    trace: bool = False
-    faults: str | None = None
-    fault_state: str | None = None
-    fault_seed: int = 0
-    #: ``CNVLUTIN_INTEGRITY`` value pushed into every shard (None =
-    #: inherit the environment).
-    integrity: str | None = None
-    integrity_recheck_s: float | None = None
+    #: The process settings every shard installs (None = the router's
+    #: own, as :func:`repro.settings.current` gives them at spawn time).
+    settings: settings.Settings | None = None
     #: Seconds between router canary sweeps (golden request with known
     #: response bytes probed on every live shard); None disables the
     #: background loop — ``run_canary()`` can still be called directly.
@@ -276,7 +270,7 @@ class ShardedService:
         self.respawn = respawn if respawn is not None else RespawnPolicy(
             seed=self.config.seed
         )
-        self.injector = injector if injector is not None else FaultInjector.from_env()
+        self.injector = injector if injector is not None else FaultInjector.from_settings()
         self.cache_dir = cache_dir
         # Router-side context: builds the calibrated stores once (from the
         # artifact cache) for publication; also answers request validation
@@ -321,13 +315,7 @@ class ShardedService:
             config=self.config,
             manifest=self.arena.manifest,
             cache_dir=str(self.cache_dir) if self.cache_dir else None,
-            engine_cache_mb=self.tier.engine_cache_mb,
-            trace=self.tier.trace,
-            faults=self.tier.faults,
-            fault_state=self.tier.fault_state,
-            fault_seed=self.tier.fault_seed,
-            integrity=self.tier.integrity,
-            integrity_recheck_s=self.tier.integrity_recheck_s,
+            settings=self.tier.settings or settings.current(),
         )
 
     def _spawn(self, index: int) -> _ShardClient:

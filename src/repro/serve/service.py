@@ -131,7 +131,7 @@ class InferenceService:
             max_attempts=2, backoff_base=0.02, backoff_max=0.25,
             seed=self.config.seed,
         )
-        self.injector = injector if injector is not None else FaultInjector.from_env()
+        self.injector = injector if injector is not None else FaultInjector.from_settings()
         self.batcher = MicroBatcher(
             max_batch=self.config.max_batch,
             linger_s=self.config.linger_ms / 1e3,

@@ -8,8 +8,10 @@ router consistent-hashes on ``(network, thresholds)``, each shard sees a
 stable slice of the key space and its per-process
 :class:`~repro.nn.engine.IncrementalForwardEngine` LRU caches hold that
 slice hot — N shards give the serving tier N× the aggregate prefix-cache
-capacity without multiplying the per-process
-``CNVLUTIN_ENGINE_CACHE_MB`` budget.
+capacity without multiplying the per-process ``engine_cache_mb``
+budget.  The spec carries the shard's whole
+:class:`~repro.settings.Settings`, so forked and spawned shards run
+under the same knobs whatever environment they inherit.
 
 Weights are **not** copied per shard: the spec carries the router's
 shared-memory arena manifest, and the shard attaches read-only zero-copy
@@ -37,7 +39,7 @@ telemetry is on, and once more at stop.
 
 Fault sites: every request envelope passes through
 ``injector.fire("shard:serve", trial=None)`` — the *global* trial
-counter (shared across shards via ``CNVLUTIN_FAULT_STATE``), so
+counter (shared across shards via the ``fault_state`` directory), so
 ``shard:serve=crash@5`` kills whichever shard handles the 6th sharded
 request, mid-run, exactly like an OOM-killed worker.  ``raise`` rules
 answer a ``fail`` envelope instead, driving the router's failover path
@@ -46,9 +48,9 @@ the attached shared arena as the N-th sharded request arrives — in the
 *shared* pages, so every shard computes on the flipped weights until the
 router republishes.
 
-Integrity gate: when ``CNVLUTIN_INTEGRITY`` is active, every reply is
+Integrity gate: when the ``integrity`` setting is active, every reply is
 preceded by an arena CRC recheck whenever the last clean check is older
-than ``CNVLUTIN_INTEGRITY_RECHECK_S`` (0 = before *every* reply: since
+than ``integrity_recheck_s`` (0 = before *every* reply: since
 bit flips persist, no response computed on corrupt weights can then
 reach the router, which is the chaos suite's zero-corrupted-responses
 guarantee).  A failing recheck — or a persistent
@@ -68,12 +70,11 @@ import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from repro import obs
+from repro import obs, settings
 from repro.experiments.context import ExperimentContext
+from repro.nn import sparse
 from repro.nn.engine import attach_shared_weights, attached_arenas
 from repro.reliability import FaultInjector, InjectedFault
-from repro.reliability import integrity
-from repro.reliability.faults import FAULTS_ENV, SEED_ENV, STATE_ENV
 from repro.serve.models import ModelRepository
 from repro.serve.requests import ServeRequest
 from repro.serve.service import InferenceService, ServeConfig
@@ -89,40 +90,26 @@ MEM_WEIGHTS_SITE = "mem:weights"
 class ShardSpec:
     """Everything a shard process needs to build itself.
 
-    Picklable (fork *and* spawn start methods build from the same spec)
-    and JSON-safe except ``cache_dir`` — env-var knobs travel explicitly
-    so spawn children behave identically to forked ones.
+    Picklable: fork *and* spawn start methods build from the same spec.
     """
 
     index: int
     socket_path: str
     config: ServeConfig
+    settings: settings.Settings
     manifest: dict = field(default_factory=dict)
     cache_dir: str | None = None
-    engine_cache_mb: float | None = None
-    trace: bool = False
-    faults: str | None = None
-    fault_state: str | None = None
-    fault_seed: int = 0
-    integrity: str | None = None
-    integrity_recheck_s: float | None = None
 
 
 def run_shard(spec: ShardSpec) -> None:
-    """Process entry point: apply the spec's environment, then serve."""
-    if spec.engine_cache_mb is not None:
-        os.environ["CNVLUTIN_ENGINE_CACHE_MB"] = str(spec.engine_cache_mb)
-    if spec.faults:
-        os.environ[FAULTS_ENV] = spec.faults
-        os.environ[SEED_ENV] = str(spec.fault_seed)
-        if spec.fault_state:
-            os.environ[STATE_ENV] = spec.fault_state
-    if spec.integrity is not None:
-        os.environ[integrity.INTEGRITY_ENV] = spec.integrity
-    if spec.integrity_recheck_s is not None:
-        os.environ[integrity.RECHECK_ENV] = str(spec.integrity_recheck_s)
-    if spec.trace:
-        os.environ["CNVLUTIN_TRACE"] = "1"
+    """Process entry point: install the spec's settings, then serve.
+
+    The kernel fault injector is rebuilt from them with fresh counters,
+    so a forked shard does not count on the router's copy.
+    """
+    settings.install(spec.settings)
+    sparse.rebuild_injector()
+    if spec.settings.trace:
         obs.enable_tracing()
     asyncio.run(_shard_main(spec))
 
@@ -171,7 +158,7 @@ def _corrupt_arena(arena) -> None:
 
 async def _shard_main(spec: ShardSpec) -> None:
     service = _build_service(spec)
-    injector = FaultInjector.from_env()
+    injector = FaultInjector.from_settings()
     await service.start()
     stopping = asyncio.Event()
     obs.counter_add("shard.started")
@@ -179,8 +166,8 @@ async def _shard_main(spec: ShardSpec) -> None:
 
     arenas = attached_arenas()
     arena = arenas[-1] if arenas else None
-    integrity_mode, _ = integrity.resolve_policy()
-    recheck_s = integrity.resolve_recheck_s()
+    integrity_mode, _ = spec.settings.integrity_policy
+    recheck_s = spec.settings.integrity_recheck_s
     #: Mutable gate state: monotonic deadline of the next arena CRC
     #: recheck, and the poisoned flag set once corruption is confirmed
     #: (every later reply fails fast until the router replaces us).

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
+import repro.settings
 from repro.baseline.workload import ConvWork
 from repro.hw.config import ArchConfig, small_config
 from repro.nn.activations import sparse_activations
@@ -26,6 +27,16 @@ settings.load_profile(
         "HYPOTHESIS_PROFILE", "ci" if os.environ.get("CI") else "dev"
     )
 )
+
+
+@pytest.fixture(autouse=True)
+def fresh_process_settings():
+    """Every test parses the environment it runs in: a knob set with
+    monkeypatch before first use takes effect (later, call
+    ``repro.settings.reload()``), and none outlives its test."""
+    repro.settings.reload()
+    yield
+    repro.settings.reload()
 
 
 @pytest.fixture

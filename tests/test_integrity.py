@@ -1,12 +1,15 @@
-"""Integrity defense: ABFT checksums, CRC-guarded arena, env validators.
+"""Integrity defense: ABFT checksums, CRC-guarded arena, process knobs.
 
 Four suites:
 
-* **Policy/env** — one shared checker drives all four warn-and-default
-  environment validators (``CNVLUTIN_ENGINE_CACHE_MB``,
-  ``CNVLUTIN_INTEGRITY``, ``CNVLUTIN_INTEGRITY_RECHECK_S``,
-  ``CNVLUTIN_FAULT_SEED``): junk warns and falls back, valid values
-  parse silently, absence is silent.
+* **Knobs** — one table (``VALIDATOR_CASES``) holds every ``CNVLUTIN_*``
+  knob of :mod:`repro.settings`, and one test drives each row through
+  the process settings: absence gives the default, a valid value parses
+  silently, junk in the environment warns and keeps the default (a bad
+  ``CNVLUTIN_FAULTS`` raises naming the variable; paths accept
+  anything), and junk passed explicitly raises — as a ``ValueError``
+  from ``Settings`` or ``ShardTierConfig``, as exit 2 from a
+  ``repro-serve`` flag.
 * **ABFT** — the GEMM/matvec checksum invariants: clean products pass,
   perturbations above the exported detectability thresholds raise
   :class:`IntegrityError`, verification never mutates the product, a
@@ -25,105 +28,112 @@ Four suites:
 """
 
 import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import repro.settings
 from differential import grid_cases, prune
 from repro.nn import sparse as kernels
-from repro.nn.engine import DEFAULT_CACHE_MB, _cache_budget_bytes
 from repro.nn.layers import conv2d, fully_connected
 from repro.nn.inference import WeightStore
 from repro.nn.shm import ARENA_PREFIX, SharedWeightArena, sweep_stale_arenas
-from repro.reliability import integrity
-from repro.reliability.faults import FAULTS_ENV, SEED_ENV, FaultInjector
 from repro.reliability.integrity import (
-    DEFAULT_RECHECK_S,
-    INTEGRITY_ENV,
-    RECHECK_ENV,
     IntegrityError,
     detectable_patch_delta,
     detectable_weight_delta,
     gemm_tolerance,
-    resolve_policy,
-    resolve_recheck_s,
     should_verify,
     verify_gemm,
     verify_matvec,
 )
+from repro.serve.router import ShardTierConfig
+from repro.settings import DEFAULT_CACHE_DIR, ENV, Settings
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 # ----------------------------------------------------------------------
-# the shared env-validator contract
+# the knob table
 # ----------------------------------------------------------------------
-def check_env_validator(monkeypatch, env, resolve, junk, default, valid,
-                        expected):
-    """All warn-and-default validators obey one contract: junk warns
-    (naming the variable) and returns the default, valid values parse
-    silently, absence is silent."""
-    integrity._policy_memo.clear()  # warnings memoize per raw string
-    monkeypatch.setenv(env, junk)
-    with pytest.warns(RuntimeWarning, match=env):
-        assert resolve() == default
-    monkeypatch.setenv(env, valid)
+def knob(monkeypatch, field, raw):
+    """``field`` of the process settings parsed with its variable set to
+    ``raw`` (None: unset)."""
+    if raw is None:
+        monkeypatch.delenv(ENV[field], raising=False)
+    else:
+        monkeypatch.setenv(ENV[field], raw)
+    repro.settings.reload()
+    return getattr(repro.settings.current(), field)
+
+
+def silently(compute):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert resolve() == expected
-    monkeypatch.delenv(env)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        resolve()
+        return compute()
 
 
-def _fault_seed() -> int:
-    """The seed ``FaultInjector.from_env`` resolves (it reads the seed
-    only when a fault spec is set)."""
-    environ = dict(os.environ)
-    environ[FAULTS_ENV] = "serve:batch=raise@0"
-    return FaultInjector.from_env(environ).seed
-
-
+#: (field, junk, what junk in the environment does, default, valid, parsed)
 VALIDATOR_CASES = [
     pytest.param(
-        "CNVLUTIN_ENGINE_CACHE_MB", _cache_budget_bytes,
-        "banana", int(DEFAULT_CACHE_MB * 1024 * 1024),
-        "64", 64 * 1024 * 1024,
+        "cache_dir", "any dir?", "accepted", DEFAULT_CACHE_DIR,
+        "cnv/cache", Path("cnv/cache"), id="cache-dir",
+    ),
+    pytest.param(
+        "engine_cache_mb", "banana", "warns", 512.0, "64", 64.0,
         id="engine-cache-mb",
     ),
     pytest.param(
-        INTEGRITY_ENV, resolve_policy,
-        "bogus", ("off", 0.0),
-        "sample:0.25", ("sample", 0.25),
+        "integrity", "bogus", "warns", "off", "sample:0.25", "sample:0.25",
         id="integrity-policy",
     ),
     pytest.param(
-        RECHECK_ENV, resolve_recheck_s,
-        "-3", DEFAULT_RECHECK_S,
-        "1.5", 1.5,
+        "integrity_recheck_s", "-3", "warns", 5.0, "1.5", 1.5,
         id="integrity-recheck",
     ),
     pytest.param(
-        SEED_ENV, _fault_seed,
-        "seven", 0,
-        "7", 7,
-        id="fault-seed",
+        "faults", "garbage", "raises", "", "mem:activations=corrupt@8",
+        "mem:activations=corrupt@8", id="faults",
     ),
+    pytest.param(
+        "fault_state", "any dir?", "accepted", None,
+        "cnv/faults", Path("cnv/faults"), id="fault-state",
+    ),
+    pytest.param("fault_seed", "seven", "warns", 0, "7", 7, id="fault-seed"),
+    pytest.param("trace", "maybe", "warns", False, " ON ", True, id="trace"),
 ]
 
 
 class TestEnvValidators:
+    def test_table_covers_every_knob(self):
+        assert [case.values[0] for case in VALIDATOR_CASES] == list(ENV)
+
     @pytest.mark.parametrize(
-        "env,resolve,junk,default,valid,expected", VALIDATOR_CASES
+        "field,junk,on_junk,default,valid,parsed", VALIDATOR_CASES
     )
-    def test_warn_and_default_contract(
-        self, monkeypatch, env, resolve, junk, default, valid, expected
+    def test_knob_follows_table(
+        self, monkeypatch, field, junk, on_junk, default, valid, parsed
     ):
-        check_env_validator(
-            monkeypatch, env, resolve, junk, default, valid, expected
-        )
+        env = ENV[field]
+        assert silently(lambda: knob(monkeypatch, field, None)) == default
+        assert silently(lambda: knob(monkeypatch, field, valid)) == parsed
+        if on_junk == "warns":
+            with pytest.warns(RuntimeWarning, match=env):
+                assert knob(monkeypatch, field, junk) == default
+        elif on_junk == "raises":
+            with pytest.raises(ValueError, match=env):
+                knob(monkeypatch, field, junk)
+        else:
+            assert silently(lambda: knob(monkeypatch, field, junk)) == Path(junk)
+            return
+        with pytest.raises(ValueError, match=field):
+            Settings(**{field: junk})
 
     @pytest.mark.parametrize("raw,parsed", [
         ("off", ("off", 0.0)),
@@ -134,24 +144,78 @@ class TestEnvValidators:
         ("sample:0", ("sample", 0.0)),
     ])
     def test_policy_parses(self, raw, parsed):
-        assert resolve_policy(raw) == parsed
+        assert Settings(integrity=raw).integrity_policy == parsed
 
     @pytest.mark.parametrize("raw", [
         "on", "sample:", "sample:nan", "sample:1.5", "sample:-0.1", "1",
     ])
     def test_explicit_junk_policy_raises(self, raw):
         # Explicit arguments are caller bugs, not environment typos.
-        with pytest.raises(ValueError):
-            resolve_policy(raw)
+        with pytest.raises(ValueError, match="integrity"):
+            Settings(integrity=raw)
 
     def test_junk_policy_warns_once_per_value(self, monkeypatch):
-        integrity._policy_memo.clear()
-        monkeypatch.setenv(INTEGRITY_ENV, "garbage-once")
-        with pytest.warns(RuntimeWarning):
-            resolve_policy()
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert resolve_policy() == ("off", 0.0)  # memoized, silent
+        # The process parses its environment once, not per kernel call.
+        monkeypatch.setenv(ENV["integrity"], "garbage-once")
+        with pytest.warns(RuntimeWarning, match=ENV["integrity"]):
+            assert not should_verify()
+        assert silently(lambda: [should_verify() for _ in range(3)]) == [
+            False, False, False,
+        ]
+
+    def test_imports_parse_no_knob(self):
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        env.update({var: "junk?" for var in ENV.values()})
+        result = subprocess.run(
+            [sys.executable, "-W", "error", "-c", "import repro, repro.obs"],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert result.returncode == 0, result.stderr
+
+
+class TestExplicitJunk:
+    """A junk value passed explicitly never falls back to a default."""
+
+    @pytest.mark.parametrize("flag,value", [
+        ("--integrity", "bogus"),
+        ("--integrity-recheck-s", "-1"),
+        ("--shard-cache-mb", "-5"),
+    ])
+    def test_serve_cli_flag_exits_2(self, capsys, flag, value):
+        from repro.serve.cli import main
+
+        with pytest.raises(SystemExit) as excinfo:
+            main(["loadgen", "--requests", "1", flag, value])
+        assert excinfo.value.code == 2
+        assert f"argument {flag}" in capsys.readouterr().err
+
+    def test_shard_tier_settings_raise(self):
+        with pytest.raises(ValueError, match="integrity"):
+            ShardTierConfig(settings=Settings(integrity="bogus"))
+
+    def test_bad_fault_spec_names_the_variable_at_any_first_use(
+        self, monkeypatch
+    ):
+        monkeypatch.setenv(ENV["faults"], "garbage")
+        with pytest.raises(ValueError, match=ENV["faults"]):
+            conv2d(np.ones((1, 3, 3)), np.ones((1, 1, 1, 1)))
+
+
+class TestKernelInjectorFollowsSettings:
+    def test_seed_and_state_reach_the_kernel_injector(
+        self, monkeypatch, tmp_path
+    ):
+        monkeypatch.setenv(ENV["faults"], "mem:activations=corrupt@8")
+        assert kernels._current_injector().seed == 0
+        monkeypatch.setenv(ENV["fault_seed"], "5")
+        monkeypatch.setenv(ENV["fault_state"], str(tmp_path))
+        repro.settings.reload()
+        injector = kernels._current_injector()
+        assert (injector.seed, injector.state_dir) == (5, tmp_path)
+        repro.settings.install(Settings(faults="mem:weights=corrupt@1"))
+        assert [rule.site for rule in kernels._current_injector().rules] == [
+            "mem:weights"
+        ]
 
 
 class TestShouldVerify:
@@ -278,11 +342,11 @@ class TestKernelByteIdentity:
         return fully_connected(activations, weights, bias).tobytes()
 
     @pytest.mark.parametrize("kernel", ["conv", "fc"])
-    def test_always_matches_off(self, monkeypatch, kernel):
+    def test_always_matches_off(self, kernel):
         compute = self._conv_bytes if kernel == "conv" else self._fc_bytes
         blobs = {}
         for mode in ("off", "always", "sample:0.5"):
-            monkeypatch.setenv(INTEGRITY_ENV, mode)
+            repro.settings.install(Settings(integrity=mode))
             blobs[mode] = compute(np.random.default_rng(11))
         assert blobs["always"] == blobs["off"]
         assert blobs["sample:0.5"] == blobs["off"]
@@ -294,8 +358,8 @@ class TestInPlaceWeightFlip:
     filter bank and group) no longer matches the live weights the GEMM
     multiplies."""
 
-    def test_conv_weight_flip_raises(self, monkeypatch):
-        monkeypatch.setenv(INTEGRITY_ENV, "always")
+    def test_conv_weight_flip_raises(self):
+        repro.settings.install(Settings(integrity="always"))
         rng = np.random.default_rng(13)
         activations = np.abs(rng.normal(size=(8, 6, 6))) + 0.1
         weights = rng.normal(size=(4, 4, 3, 3))
@@ -306,9 +370,10 @@ class TestInPlaceWeightFlip:
 
 
 class TestMemActivationsFault:
-    def test_corrupt_epilogue_raises_then_recovers(self, monkeypatch):
-        monkeypatch.setenv(INTEGRITY_ENV, "always")
-        monkeypatch.setenv("CNVLUTIN_FAULTS", "mem:activations=corrupt@1")
+    def test_corrupt_epilogue_raises_then_recovers(self):
+        repro.settings.install(
+            Settings(integrity="always", faults="mem:activations=corrupt@1")
+        )
         cols, wt = make_gemm(seed=7, threshold=0.3)
         weights = np.ascontiguousarray(wt.T)  # (N, K) filter bank
         gemm = lambda: kernels.partitioned_gemm(cols, weights)

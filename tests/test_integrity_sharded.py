@@ -38,6 +38,7 @@ from pathlib import Path
 
 import pytest
 
+import repro.settings
 from repro import obs
 from repro.nn.shm import ARENA_PREFIX
 from repro.reliability import RetryPolicy
@@ -51,6 +52,7 @@ from repro.serve import (
     direct_response,
     run_load,
 )
+from repro.settings import Settings
 
 SERVE_NETWORKS = ("alex",)
 
@@ -136,13 +138,10 @@ class TestWeightFlipHealing:
         stale.write_bytes(b"x")
         state = tmp_path / "fault-state"
         state.mkdir()
-        tier = ShardTierConfig(
-            shards=2,
-            faults="mem:weights=corrupt@3",
-            fault_state=str(state),
-            integrity="always",
-            integrity_recheck_s=0.0,
-        )
+        tier = ShardTierConfig(shards=2, settings=Settings(
+            faults="mem:weights=corrupt@3", fault_state=state,
+            integrity="always", integrity_recheck_s=0.0,
+        ))
         requests = build_sweep_requests(
             20, networks=list(SERVE_NETWORKS), variants_per_network=2,
         )
@@ -167,13 +166,10 @@ class TestActivationFlipTransient:
         obs.reset_metrics()
         state = tmp_path / "fault-state"
         state.mkdir()
-        tier = ShardTierConfig(
-            shards=2,
-            faults="mem:activations=corrupt@6",
-            fault_state=str(state),
-            integrity="always",
-            integrity_recheck_s=0.0,
-        )
+        tier = ShardTierConfig(shards=2, settings=Settings(
+            faults="mem:activations=corrupt@6", fault_state=state,
+            integrity="always", integrity_recheck_s=0.0,
+        ))
         requests = build_sweep_requests(
             16, networks=list(SERVE_NETWORKS), variants_per_network=2,
         )
@@ -230,11 +226,10 @@ class TestCanarySweep:
 
 class TestSpecPassthrough:
     def test_tier_integrity_fields_reach_the_spec(self, tmp_path):
+        shard_settings = Settings(integrity="sample:0.5", integrity_recheck_s=2.5)
         service = ShardedService(
             det_config(use_cache=False),
-            tier=ShardTierConfig(
-                shards=1, integrity="sample:0.5", integrity_recheck_s=2.5,
-            ),
+            tier=ShardTierConfig(shards=1, settings=shard_settings),
             cache_dir=tmp_path,
         )
         service._socket_dir = str(tmp_path)
@@ -243,9 +238,10 @@ class TestSpecPassthrough:
             manifest = {"networks": {}}
 
         service.arena = FakeArena()
-        spec = service._spec(0)
-        assert spec.integrity == "sample:0.5"
-        assert spec.integrity_recheck_s == 2.5
+        assert service._spec(0).settings is shard_settings
+        # No tier override: shards get the router's own settings.
+        service.tier = ShardTierConfig(shards=1)
+        assert service._spec(0).settings is repro.settings.current()
 
 
 class TestGracefulDrain:

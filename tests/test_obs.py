@@ -16,6 +16,7 @@ import warnings
 
 import pytest
 
+import repro.settings
 from repro import obs
 from repro.experiments.config import PaperConfig
 from repro.experiments.manifest import RunManifest, UnitRecord
@@ -112,21 +113,30 @@ class TestSpans:
 
 
 class TestTraceEnv:
+    """Until enable/disable_tracing() is called, the tracer follows the
+    process settings' ``trace`` (``CNVLUTIN_TRACE``)."""
+
     def test_documented_values(self, monkeypatch):
+        monkeypatch.setattr(trace._STATE, "enabled", None)
         for raw, enabled in [
             ("1", True), ("true", True), (" ON ", True), ("yes", True),
             ("", False), ("0", False), ("false", False), ("Off", False),
             ("no", False),
         ]:
-            monkeypatch.setenv(trace.TRACE_ENV, raw)
+            monkeypatch.setenv("CNVLUTIN_TRACE", raw)
+            repro.settings.reload()
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
-                assert trace._TracerState().enabled is enabled, raw
+                assert obs.tracing_enabled() is enabled, raw
+        with obs.span("recorded", cat="test"):
+            pass
+        assert obs.event_count() == 0  # the last value, "no", is off
 
     def test_junk_warns_and_leaves_tracing_off(self, monkeypatch):
-        monkeypatch.setenv(trace.TRACE_ENV, "maybe")
-        with pytest.warns(RuntimeWarning, match=trace.TRACE_ENV):
-            assert trace._TracerState().enabled is False
+        monkeypatch.setattr(trace._STATE, "enabled", None)
+        monkeypatch.setenv("CNVLUTIN_TRACE", "maybe")
+        with pytest.warns(RuntimeWarning, match="CNVLUTIN_TRACE"):
+            assert obs.tracing_enabled() is False
 
 
 class TestChromeExport:
@@ -358,6 +368,7 @@ class TestFaultedRunDeterminism:
         obs.reset_tracing()
 
         monkeypatch.setenv("CNVLUTIN_FAULTS", "unit:fig1/alex=raise@0")
+        repro.settings.reload()
         obs.enable_tracing()
         faulted_results, manifest = run_all_with_manifest(
             tiny_config(tmp_path / "faulted"), only=["fig1"], verbose=False,

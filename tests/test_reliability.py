@@ -14,6 +14,7 @@ import os
 
 import pytest
 
+import repro.settings
 from repro.experiments.config import PaperConfig
 from repro.experiments.context import ExperimentContext
 from repro.experiments.manifest import ArtifactCache, RunManifest, UnitRecord, stable_hash
@@ -51,6 +52,7 @@ def set_faults(monkeypatch, tmp_path, spec):
     monkeypatch.setenv("CNVLUTIN_FAULTS", spec)
     state = tmp_path / "fault-state"
     monkeypatch.setenv("CNVLUTIN_FAULT_STATE", str(state))
+    repro.settings.reload()
     return state
 
 
@@ -98,7 +100,7 @@ class TestFaultSpecGrammar:
 
     def test_empty_spec_is_a_noop_injector(self, monkeypatch):
         monkeypatch.delenv("CNVLUTIN_FAULTS", raising=False)
-        injector = FaultInjector.from_env()
+        injector = FaultInjector.from_settings()
         assert not injector.enabled
         assert injector.fire("unit:fig9/nin", trial=0) is None
 
@@ -286,25 +288,23 @@ class TestConcurrentColdWriters:
 # engine cache budget validation
 # ---------------------------------------------------------------------------
 class TestEngineCacheBudgetEnv:
-    def test_default_when_unset(self, monkeypatch):
-        from repro.nn.engine import DEFAULT_CACHE_MB, _cache_budget_bytes
+    @staticmethod
+    def budget_bytes() -> int:
+        return int(repro.settings.current().engine_cache_mb * 1024 * 1024)
 
+    def test_default_when_unset(self, monkeypatch):
         monkeypatch.delenv("CNVLUTIN_ENGINE_CACHE_MB", raising=False)
-        assert _cache_budget_bytes() == int(DEFAULT_CACHE_MB * 1024 * 1024)
+        assert self.budget_bytes() == 512 * 1024 * 1024
 
     def test_valid_value_used(self, monkeypatch):
-        from repro.nn.engine import _cache_budget_bytes
-
         monkeypatch.setenv("CNVLUTIN_ENGINE_CACHE_MB", "1.5")
-        assert _cache_budget_bytes() == int(1.5 * 1024 * 1024)
+        assert self.budget_bytes() == int(1.5 * 1024 * 1024)
 
     @pytest.mark.parametrize("bad", ["banana", "-5", "nan", "inf", ""])
     def test_invalid_value_warns_and_falls_back(self, monkeypatch, bad):
-        from repro.nn.engine import DEFAULT_CACHE_MB, _cache_budget_bytes
-
         monkeypatch.setenv("CNVLUTIN_ENGINE_CACHE_MB", bad)
         with pytest.warns(RuntimeWarning, match="CNVLUTIN_ENGINE_CACHE_MB"):
-            assert _cache_budget_bytes() == int(DEFAULT_CACHE_MB * 1024 * 1024)
+            assert self.budget_bytes() == 512 * 1024 * 1024
 
     def test_engine_builds_under_bad_env(self, monkeypatch):
         import numpy as np
@@ -503,6 +503,7 @@ class TestResume:
         first_manifest.save(manifest_path)
 
         monkeypatch.delenv("CNVLUTIN_FAULTS")
+        repro.settings.reload()
         resumed_results, resumed_manifest = run_all_with_manifest(
             config, only=CHAOS_EXPERIMENTS, verbose=False, jobs=2,
             policy=fast_policy(), resume=manifest_path,

@@ -11,6 +11,7 @@ from repro.baseline.timing import baseline_network_timing
 from repro.core.timing import cnv_network_timing
 from repro.experiments.runner import EXPERIMENTS
 from repro.hw.config import small_config
+from repro.settings import ENV
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -42,6 +43,15 @@ class TestDocumentation:
                        "DESIGN.md", "EXPERIMENTS.md", "quickstart.py"):
             assert needle in text
 
+    def test_readme_knob_table_lists_every_setting(self):
+        """README's knob table has one row per ``repro.settings`` knob,
+        in the module's order."""
+        text = (REPO / "README.md").read_text()
+        rows = re.findall(
+            r"^\| `(CNVLUTIN_\w+)` \| `(\w+)` \|", text, re.MULTILINE
+        )
+        assert rows == [(env, field) for field, env in ENV.items()]
+
     def test_every_example_has_a_docstring_and_main(self):
         for script in sorted((REPO / "examples").glob("*.py")):
             source = script.read_text()
@@ -64,6 +74,17 @@ class TestDocumentation:
         }
         for experiment, bench in expected.items():
             assert bench in bench_names, f"no bench for {experiment}"
+
+
+class TestEnvironmentAccess:
+    def test_only_the_settings_module_mentions_os_environ(self):
+        src = REPO / "src" / "repro"
+        offenders = [
+            str(path.relative_to(src))
+            for path in sorted(src.rglob("*.py"))
+            if path != src / "settings.py" and "os.environ" in path.read_text()
+        ]
+        assert offenders == []
 
 
 class TestContinuousIntegration:

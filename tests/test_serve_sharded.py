@@ -19,11 +19,13 @@ repro.serve.shard / repro.nn.shm):
 from __future__ import annotations
 
 import asyncio
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
+import repro.settings
 from repro import obs
 from repro.nn.inference import WeightStore
 from repro.nn.shm import SharedWeightArena, process_pss_kb
@@ -41,6 +43,7 @@ from repro.serve import (
     run_load,
     summarize,
 )
+from repro.settings import Settings
 
 SERVE_NETWORKS = ("alex", "cnnS")
 
@@ -289,8 +292,10 @@ class TestFailover:
             det_config(),
             ShardTierConfig(
                 shards=2, forward_timeout_s=120,
-                faults="shard:serve=crash@3",
-                fault_state=str(tmp_path / "fault-state"),
+                settings=Settings(
+                    faults="shard:serve=crash@3",
+                    fault_state=tmp_path / "fault-state",
+                ),
             ),
             requests, cache_dir,
             respawn=RespawnPolicy(backoff_base=0.01, seed=1),
@@ -393,15 +398,27 @@ class TestSweepAffinity:
 
 class TestSpawnStartMethod:
     def test_spawn_smoke(self, cache_dir):
+        # A spawned shard inherits nothing: a knob only its spec carries
+        # (integrity) must still reach it, and leave the router alone.
+        obs.reset_metrics()
+        router_settings = repro.settings.install(
+            dataclasses.replace(repro.settings.current(), integrity="off")
+        )
         requests = build_requests(2, ["alex"], kinds=["classify"])
         result, service = drive_sharded(
             det_config(networks=("alex",)),
             ShardTierConfig(
                 shards=1, start_method="spawn",
                 connect_timeout_s=60, forward_timeout_s=120,
+                settings=dataclasses.replace(
+                    router_settings, integrity="always"
+                ),
             ),
             requests, cache_dir,
         )
+        counters = obs.get_metrics().counters  # merged from the shard
+        assert counters.get("integrity.checks.abft", 0) > 0
+        assert repro.settings.current() is router_settings
         for request in requests:
             response = result.responses[request.id]
             assert response.status == "ok"
