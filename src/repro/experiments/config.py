@@ -13,7 +13,6 @@ Three scales trade fidelity for runtime:
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -58,33 +57,3 @@ class PaperConfig:
     def input_size(self, network_name: str) -> int:
         base, alex, _ = _SCALE_SETTINGS[self.scale]
         return alex if network_name == "alex" else base
-
-    # ------------------------------------------------------------------
-    # tiny JSON cache
-    # ------------------------------------------------------------------
-    def cache_key(self, kind: str, network_name: str) -> Path:
-        return (
-            self.cache_dir
-            / f"{kind}_{network_name}_{self.scale}_s{self.seed}_n{self.num_images}.json"
-        )
-
-    def cache_load(self, kind: str, network_name: str):
-        """Load a cached JSON payload, or None."""
-        if not self.use_cache:
-            return None
-        path = self.cache_key(kind, network_name)
-        if not path.exists():
-            return None
-        try:
-            with open(path) as handle:
-                return json.load(handle)
-        except (OSError, json.JSONDecodeError):
-            return None
-
-    def cache_store(self, kind: str, network_name: str, payload) -> None:
-        if not self.use_cache:
-            return
-        path = self.cache_key(kind, network_name)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        with open(path, "w") as handle:
-            json.dump(payload, handle)

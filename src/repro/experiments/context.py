@@ -36,8 +36,8 @@ from repro.nn.calibration import (
     measure_zero_fractions,
 )
 from repro.nn.datasets import natural_images
-from repro.nn.engine import IncrementalForwardEngine, slice_result
-from repro.nn.inference import ForwardResult, WeightStore, init_weights
+from repro.nn.engine import IncrementalForwardEngine
+from repro.nn.inference import ForwardResult, WeightStore, init_weights, slice_result
 from repro.nn.models import build_network
 from repro.nn.network import Network
 

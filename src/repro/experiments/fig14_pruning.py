@@ -25,7 +25,8 @@ from repro.experiments.context import ExperimentContext
 from repro.experiments.report import ExperimentResult
 from repro.experiments.thresholds import DEFAULT_DELTAS, sweep_deltas
 from repro.hw.config import ArchConfig
-from repro.nn.engine import IncrementalForwardEngine, slice_result
+from repro.nn.engine import IncrementalForwardEngine
+from repro.nn.inference import slice_result
 
 __all__ = ["run", "smallcnn_tradeoff", "SmallCnnEvaluator", "SMALLCNN_ARCH"]
 

@@ -119,11 +119,6 @@ def layer_targets(network: Network, mean_target: float) -> dict[str, float]:
     return targets
 
 
-def _producers_of_conv_inputs(network: Network) -> dict[str, str]:
-    """Map each conv layer to the layer producing its input (or '' for image)."""
-    return network.conv_producers()
-
-
 def _relu_layers(network: Network) -> set[str]:
     return {
         layer.name
@@ -142,14 +137,7 @@ def _controlling_relus(
     are where the zeros are created and where calibration must act.
     """
     controllers: set[str] = set()
-    idx = network.index_of(conv_name)
-    layer = network.layers[idx]
-    if layer.input_from is not None:
-        frontier = list(layer.input_from)
-    elif idx > 0:
-        frontier = [network.layers[idx - 1].name]
-    else:
-        return controllers  # fed by the image
+    frontier = list(network.inputs(conv_name))  # empty when fed by the image
     seen: set[str] = set()
     while frontier:
         name = frontier.pop()
@@ -158,13 +146,8 @@ def _controlling_relus(
         seen.add(name)
         if name in relu_layers:
             controllers.add(name)
-            continue
-        i = network.index_of(name)
-        producer = network.layers[i]
-        if producer.input_from is not None:
-            frontier.extend(producer.input_from)
-        elif i > 0:
-            frontier.append(network.layers[i - 1].name)
+        else:
+            frontier.extend(network.inputs(name))
     return controllers
 
 
@@ -238,8 +221,8 @@ def calibrate_network(
             level = quantile_levels[layer_name]
             if level <= 0.0:
                 return 0.0
-            if per_channel and pre.ndim == 3:
-                shift = -np.quantile(pre, level, axis=(1, 2))
+            if per_channel and pre.ndim == 4:  # conv: (batch, channels, y, x)
+                shift = -np.quantile(pre, level, axis=(0, 2, 3))
             else:
                 shift = -float(np.quantile(pre, level))
             estimates.setdefault(layer_name, []).append(shift)

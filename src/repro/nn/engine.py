@@ -13,10 +13,15 @@ replays cached prefixes and only computes the suffix below the perturbed
 layer.
 
 All activations are held as a single ``(batch, depth, H, W)`` stack and
-computed through the batched paths of :mod:`repro.nn.layers`, so one
-engine pass replaces ``batch`` per-image :func:`~repro.nn.inference.run_forward`
-calls — bit-identically (differential-tested in
-``tests/test_forward_engine.py``).
+computed through the batched path of :mod:`repro.nn.layers` — the only
+path; a single image is a batch of one — so one engine pass replaces
+``batch`` per-image :func:`~repro.nn.inference.run_forward` calls —
+bit-identically (differential-tested in ``tests/test_forward_engine.py``).
+
+The engine keeps its own walk beside ``run_forward``'s: on a cache hit it
+skips the layer's work, a concat included, and that would make a shared
+walk branch on its caller.  Both walks read the layer graph (inputs and
+last readers) from the :class:`~repro.nn.network.Network`.
 
 The cache is bounded by a byte budget (the process settings'
 ``engine_cache_mb``, ``CNVLUTIN_ENGINE_CACHE_MB``, default 512 MiB) with
@@ -38,10 +43,9 @@ from repro import obs, settings
 from repro.nn.inference import (
     ForwardResult,
     WeightStore,
-    _consumer_counts,
-    _producer_output,
-    _release_consumed,
+    _gather_input,
     apply_layer,
+    image_stack,
     run_forward,
 )
 from repro.nn.network import LayerKind, LayerSpec, Network
@@ -50,7 +54,6 @@ __all__ = [
     "IncrementalForwardEngine",
     "EngineStats",
     "threshold_scopes",
-    "slice_result",
     "attach_shared_weights",
     "attached_arenas",
 ]
@@ -101,43 +104,24 @@ def _is_prunable(layer: LayerSpec) -> bool:
     return layer.kind == LayerKind.RELU
 
 
-def _producer_names(network: Network, index: int, layer: LayerSpec) -> list[str]:
-    if layer.kind == LayerKind.CONCAT:
-        return list(layer.input_from)
-    if layer.input_from is not None:
-        return [layer.input_from[0]]
-    if index > 0:
-        return [network.layers[index - 1].name]
-    return []
-
-
 def threshold_scopes(network: Network) -> dict[str, tuple[str, ...]]:
     """Per-layer sorted tuple of threshold-bearing layers that can affect it.
 
-    A layer's scope is the union of its producers' scopes (walked through
+    A layer's scope is the union of its inputs' scopes (walked through
     ``input_from`` and concat edges) plus the layer itself when a pruning
     threshold applies to it (fused-ReLU conv/FC or a standalone ReLU).
     Two threshold configurations that agree on a layer's scope yield
     bit-identical output for that layer.
     """
     scopes: dict[str, tuple[str, ...]] = {}
-    for idx, layer in enumerate(network.layers):
+    for layer in network.layers:
         deps: set[str] = set()
-        for src in _producer_names(network, idx, layer):
+        for src in network.inputs(layer.name):
             deps.update(scopes[src])
         if _is_prunable(layer):
             deps.add(layer.name)
         scopes[layer.name] = tuple(sorted(deps))
     return scopes
-
-
-def slice_result(result: ForwardResult, index: int) -> ForwardResult:
-    """Single-image view (no copy) of a batched :class:`ForwardResult`."""
-    return ForwardResult(
-        outputs={name: arr[index] for name, arr in result.outputs.items()},
-        conv_inputs={name: arr[index] for name, arr in result.conv_inputs.items()},
-        logits=None if result.logits is None else result.logits[index],
-    )
 
 
 @dataclass
@@ -188,19 +172,9 @@ class IncrementalForwardEngine:
         cache_bytes: int | None = None,
         label: str | None = None,
     ):
-        images = np.asarray(images)
-        if images.ndim == 3:
-            images = images[np.newaxis]
-        if images.ndim != 4 or images.shape[1:] != network.input_shape:
-            raise ValueError(
-                f"image stack shape {images.shape} incompatible with network "
-                f"input {network.input_shape}"
-            )
-        if not np.issubdtype(images.dtype, np.floating):
-            images = images.astype(np.float64)
         self.network = network
         self.store = store
-        self.images = images
+        self.images = image_stack(network, images)
         self.label = label if label is not None else network.name
         self.scopes = threshold_scopes(network)
         self.stats = EngineStats()
@@ -244,23 +218,12 @@ class IncrementalForwardEngine:
     def admit(self, images: np.ndarray) -> np.ndarray:
         """Validate an externally-supplied stack for a one-off batched pass.
 
-        The admission hook of the serving layer: promotes a single
-        ``(depth, H, W)`` image to a batch of one, checks the shape
-        against the network input, promotes integer dtypes to float64
-        (the ``run_forward`` contract), and records the admission in the
-        metrics registry (``engine.admitted.batches`` /
-        ``engine.admitted.images``).
+        The admission hook of the serving layer: checks and promotes the
+        stack as every forward pass does (:func:`~repro.nn.inference.
+        image_stack`) and records the admission in the metrics registry
+        (``engine.admitted.batches`` / ``engine.admitted.images``).
         """
-        images = np.asarray(images)
-        if images.ndim == 3:
-            images = images[np.newaxis]
-        if images.ndim != 4 or images.shape[1:] != self.network.input_shape:
-            raise ValueError(
-                f"admitted stack shape {images.shape} incompatible with "
-                f"network input {self.network.input_shape}"
-            )
-        if not np.issubdtype(images.dtype, np.floating):
-            images = images.astype(np.float64)
+        images = image_stack(self.network, images)
         obs.counter_add("engine.admitted.batches")
         obs.counter_add("engine.admitted.images", images.shape[0])
         return images
@@ -310,8 +273,8 @@ class IncrementalForwardEngine:
         Returns a batched :class:`ForwardResult` bit-identical to stacking
         per-image ``run_forward`` results.  Layers whose threshold
         signature matches a cached entry are replayed from the cache; the
-        rest compute (batched) and populate it.  Use :func:`slice_result`
-        for per-image views.
+        rest compute (batched) and populate it.  Use
+        :func:`~repro.nn.inference.slice_result` for per-image views.
         """
         with self._run_lock:
             return self._run_locked(
@@ -329,23 +292,18 @@ class IncrementalForwardEngine:
         outputs: dict[str, np.ndarray] = {}
         conv_inputs: dict[str, np.ndarray] = {}
         logits: np.ndarray | None = None
-        remaining = _consumer_counts(network)
         obs.counter_add("engine.runs")
 
         with obs.span(
             "engine.run", cat="nn", network=self.label, batch=self.batch,
             thresholds=len(thresholds),
         ):
-            for idx, layer in enumerate(network.layers):
+            for layer in network.layers:
                 key = (layer.name, self._signature(layer.name, thresholds))
                 cached = self._cache.get(key)
-                if layer.kind == LayerKind.CONCAT:
-                    src = None
-                    if cached is None:
-                        parts = [outputs[s] for s in layer.input_from]
-                        src = np.concatenate(parts, axis=1)
-                else:
-                    src = _producer_output(network, idx, layer, outputs, self.images)
+                src = None
+                if cached is None or layer.kind != LayerKind.CONCAT:
+                    src = _gather_input(network, layer, outputs, self.images)
                 if layer.kind == LayerKind.CONV and collect_conv_inputs:
                     conv_inputs[layer.name] = src
                 with obs.span(
@@ -378,7 +336,8 @@ class IncrementalForwardEngine:
                     logits = layer_logits
                 outputs[layer.name] = out
                 if not keep_outputs:
-                    _release_consumed(network, idx, outputs, remaining)
+                    for name in network.last_reads(layer.name):
+                        del outputs[name]
 
         return ForwardResult(
             outputs=outputs if keep_outputs else {},

@@ -20,6 +20,12 @@ The engine supports:
   image through the network in one pass, bit-identical to per-image calls
   (see :mod:`repro.nn.layers` for how the BLAS calls preserve this).
 
+The batched path is the only path: :func:`run_forward` promotes a single
+``(depth, H, W)`` image to a batch of one and returns its unbatched views
+(:func:`slice_result`), so :func:`apply_layer` and the layer functions see
+only stacks.  Which layers feed which comes from the
+:class:`~repro.nn.network.Network`'s graph.
+
 Activations are computed in the input's floating dtype: a float32 image
 over float32 weights stays float32 end to end (integer inputs are promoted
 to float64).  Incremental re-use of activations across threshold
@@ -41,8 +47,10 @@ __all__ = [
     "WeightStore",
     "ForwardResult",
     "init_weights",
+    "image_stack",
     "run_forward",
     "apply_layer",
+    "slice_result",
 ]
 
 
@@ -121,29 +129,58 @@ class ForwardResult:
         return None
 
 
-def _apply_shift(pre: np.ndarray, shift) -> np.ndarray:
-    """Add a scalar or per-channel shift to a pre-activation array."""
-    if np.ndim(shift) == 1 and pre.ndim == 3:
-        return pre + np.asarray(shift).reshape(-1, 1, 1)
-    if np.ndim(shift) == 1 and pre.ndim == 4:
-        return pre + np.asarray(shift).reshape(1, -1, 1, 1)
-    return pre + shift
+def slice_result(result: ForwardResult, index: int) -> ForwardResult:
+    """Single-image view (no copy) of a batched :class:`ForwardResult`."""
+    return ForwardResult(
+        outputs={name: arr[index] for name, arr in result.outputs.items()},
+        conv_inputs={name: arr[index] for name, arr in result.conv_inputs.items()},
+        logits=None if result.logits is None else result.logits[index],
+    )
 
 
-def _producer_output(
+def image_stack(network: Network, images) -> np.ndarray:
+    """Check ``images`` against the network input; return a float stack.
+
+    A single ``(depth, H, W)`` image becomes a batch of one; any other
+    shape than ``(batch, depth, H, W)`` matching ``network.input_shape``
+    raises.  Integer images are promoted to float64.
+    """
+    images = np.asarray(images)
+    if images.ndim == 3:
+        images = images[np.newaxis]
+    if images.ndim != 4 or images.shape[1:] != network.input_shape:
+        raise ValueError(
+            f"image stack shape {images.shape} incompatible with network "
+            f"input {network.input_shape}"
+        )
+    if not np.issubdtype(images.dtype, np.floating):
+        images = images.astype(np.float64)
+    return images
+
+
+def _gather_input(
     network: Network,
-    index: int,
     layer: LayerSpec,
     outputs: dict[str, np.ndarray],
-    image: np.ndarray,
+    images: np.ndarray,
 ) -> np.ndarray:
-    if layer.input_from is None:
-        if index == 0:
-            return image
-        return outputs[network.layers[index - 1].name]
-    if len(layer.input_from) != 1:
-        raise ValueError(f"layer {layer.name!r} has multiple producers")
-    return outputs[layer.input_from[0]]
+    """The stack ``layer`` reads: the images, its producer's output, or a
+    concat of its producers' outputs along the depth axis."""
+    inputs = network.inputs(layer.name)
+    if layer.kind == LayerKind.CONCAT:
+        return np.concatenate([outputs[name] for name in inputs], axis=1)
+    return outputs[inputs[0]] if inputs else images
+
+
+def _apply_shift(pre: np.ndarray, shift) -> np.ndarray:
+    """Add a scalar or per-channel shift to a batched pre-activation array.
+
+    Channels run along axis 1 of both the conv ``(batch, N, y, x)`` and the
+    FC ``(batch, N)`` pre-activations.
+    """
+    if np.ndim(shift) == 1:
+        shift = np.asarray(shift).reshape(-1, *[1] * (pre.ndim - 2))
+    return pre + shift
 
 
 def apply_layer(
@@ -155,13 +192,12 @@ def apply_layer(
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """Compute one layer's raw output from its (already gathered) input.
 
-    ``src`` is the layer's input activation — for CONCAT layers, pass the
-    already concatenated array.  Returns ``(out, logits)`` where ``logits``
+    ``src`` is the layer's batched ``(batch, depth, H, W)`` input activation
+    (see :func:`_gather_input`).  Returns ``(out, logits)`` where ``logits``
     is non-``None`` only for FC and SOFTMAX layers (the *pre-quantization*
-    logit vector).  Works on both single-image (3-D) and batched (4-D)
-    activations.  Quantization at the layer boundary is the caller's job.
+    ``(batch, classes)`` logits).  Quantization at the layer boundary is
+    the caller's job.
     """
-    batched = src.ndim == 4
     if layer.kind == LayerKind.CONV:
         pre = F.conv2d(
             src,
@@ -198,16 +234,9 @@ def apply_layer(
             pre = _apply_shift(pre, store.shift(layer.name))
         if layer.fused_relu:
             pre = F.threshold_relu(pre, thresholds.get(layer.name, 0.0))
-        if batched:
-            out = pre.reshape(pre.shape[0], layer.num_filters, 1, 1)
-        else:
-            out = pre.reshape(layer.num_filters, 1, 1)
-        return out, pre
+        return pre.reshape(pre.shape[0], layer.num_filters, 1, 1), pre
     if layer.kind == LayerKind.SOFTMAX:
-        if batched:
-            logits = src.reshape(src.shape[0], -1)
-        else:
-            logits = src.reshape(-1)  # softmax input, FC or not (nin)
+        logits = src.reshape(src.shape[0], -1)  # softmax input, FC or not (nin)
         return F.softmax(logits).reshape(src.shape), logits
     raise AssertionError(f"unhandled kind {layer.kind}")  # pragma: no cover
 
@@ -229,11 +258,12 @@ def run_forward(
     Parameters
     ----------
     network, store, image:
-        The network description, its weights, and a ``(depth, H, W)`` input
-        or ``(batch, depth, H, W)`` stack.  The pass computes in the
-        image's floating dtype (integer images are promoted to float64).
-        A batched pass produces bit-identical arrays to running each image
-        separately, with every result carrying the leading batch axis.
+        The network description, its weights, and a ``(batch, depth, H, W)``
+        stack or one ``(depth, H, W)`` image (see :func:`image_stack`).  The
+        pass computes in the image's floating dtype (integer images are
+        promoted to float64).  A stack's results carry the leading batch
+        axis; one image runs as a batch of one and gets that batch's
+        unbatched views.  Either way each image's arrays are bit-identical.
     thresholds:
         Optional per-layer pruning thresholds (real-valued); applied to the
         post-ReLU output of the named conv/FC layers (Section V-E dynamic
@@ -266,13 +296,7 @@ def run_forward(
         ``conv_inputs`` are byte-identical to the full pass's, and with
         ``keep_outputs`` only the computed layers appear in ``outputs``.
     """
-    image = np.asarray(image)
-    if image.shape != network.input_shape and not (
-        image.ndim == 4 and image.shape[1:] == network.input_shape
-    ):
-        raise ValueError(
-            f"image shape {image.shape} != network input {network.input_shape}"
-        )
+    images = image_stack(network, image)
     thresholds = thresholds or {}
     formats = formats or {}
 
@@ -287,12 +311,7 @@ def run_forward(
     outputs: dict[str, np.ndarray] = {}
     conv_inputs: dict[str, np.ndarray] = {}
     logits: np.ndarray | None = None
-    consumers = _consumer_counts(network)
-    remaining = dict(consumers)
-
-    if not np.issubdtype(image.dtype, np.floating):
-        image = image.astype(np.float64)
-    image = maybe_quantize(image)
+    images = maybe_quantize(images)
 
     stop = (
         None if collect_logits or not network.conv_layers
@@ -302,19 +321,18 @@ def run_forward(
     for idx, layer in enumerate(network.layers):
         if idx == stop:
             if collect_conv_inputs:
-                conv_inputs[layer.name] = _producer_output(
-                    network, idx, layer, outputs, image
+                conv_inputs[layer.name] = _gather_input(
+                    network, layer, outputs, images
                 )
             break
         with obs.span(
             f"layer:{layer.name}", cat="nn", network=network.name,
             kind=layer.kind,
         ) as layer_span:
+            src = _gather_input(network, layer, outputs, images)
             if layer.kind == LayerKind.CONCAT:
-                parts = [outputs[src] for src in layer.input_from]
-                out = np.concatenate(parts, axis=parts[0].ndim - 3)
+                out = src
             else:
-                src = _producer_output(network, idx, layer, outputs, image)
                 if layer.kind == LayerKind.CONV and collect_conv_inputs:
                     conv_inputs[layer.name] = src
                 out, layer_logits = apply_layer(layer, src, store, thresholds, shift_fn)
@@ -327,44 +345,12 @@ def run_forward(
                 layer_span.set(shape=str(out.shape))
 
         if not keep_outputs:
-            _release_consumed(network, idx, outputs, remaining)
+            for name in network.last_reads(layer.name):
+                del outputs[name]
 
-    return ForwardResult(
+    result = ForwardResult(
         outputs=outputs if keep_outputs else {},
         conv_inputs=conv_inputs,
         logits=logits,
     )
-
-
-def _consumer_counts(network: Network) -> dict[str, int]:
-    """How many later layers read each layer's output (for memory release)."""
-    counts = {layer.name: 0 for layer in network.layers}
-    for idx, layer in enumerate(network.layers):
-        if layer.kind == LayerKind.CONCAT:
-            for src in layer.input_from:
-                counts[src] += 1
-        elif layer.input_from is not None:
-            counts[layer.input_from[0]] += 1
-        elif idx > 0:
-            counts[network.layers[idx - 1].name] += 1
-    return counts
-
-
-def _release_consumed(
-    network: Network,
-    index: int,
-    outputs: dict[str, np.ndarray],
-    remaining: dict[str, int],
-) -> None:
-    layer = network.layers[index]
-    sources: list[str] = []
-    if layer.kind == LayerKind.CONCAT:
-        sources = list(layer.input_from)
-    elif layer.input_from is not None:
-        sources = [layer.input_from[0]]
-    elif index > 0:
-        sources = [network.layers[index - 1].name]
-    for src in sources:
-        remaining[src] -= 1
-        if remaining[src] == 0:
-            outputs.pop(src, None)
+    return slice_result(result, 0) if np.ndim(image) == 3 else result

@@ -1,23 +1,21 @@
 """Functional DNN layer implementations (the golden model).
 
-All layer functions operate on activations stored as 3-D numpy arrays with
-layout ``(depth, height, width)`` — i.e. ``a[z, y, x]`` — matching the
-paper's description of a layer input as an ``Ix x Iy x i`` array of *input
-neurons* indexed ``n(x, y, z)``.  Filters (synapses) are 4-D
-``(num_filters, depth, Fy, Fx)``.
+Activations are stored with layout ``(batch, depth, height, width)`` —
+``a[b, z, y, x]`` — where each image matches the paper's description of a
+layer input as an ``Ix x Iy x i`` array of *input neurons* indexed
+``n(x, y, z)``.  Filters (synapses) are 4-D ``(num_filters, depth, Fy, Fx)``.
 
-Every activation-consuming function also accepts a leading *batch* axis
-(``(batch, depth, height, width)``), producing the batch of outputs in one
-call.  The batched results are **bit-identical** to running each image
-separately: elementwise work is vectorized across the batch, while the
-BLAS calls (the conv GEMM and the FC matrix-vector product) are issued per
-image on buffers laid out exactly as the single-image path produces them.
-A single stacked GEMM over all images is *not* used deliberately —
-OpenBLAS dispatches shape-dependent kernels (small-matrix and GEMV
-specializations) whose accumulation order differs in the last ulp, which
-would break the engine's bit-identity contract (and with it the golden,
-ZFNAf and timing validation that diffs hardware outputs against this
-model).
+The batched path is the only path: a public function called on a single
+``(depth, height, width)`` image promotes it to a batch of one and returns
+that image's result.  Each image's result is **bit-identical** whatever
+batch it rides in: elementwise work is vectorized across the batch, while
+the BLAS calls (the conv GEMM and the FC matrix-vector product) are issued
+per image on buffers laid out exactly alike for every image.  A single
+stacked GEMM over all images is *not* used deliberately — OpenBLAS
+dispatches shape-dependent kernels (small-matrix and GEMV specializations)
+whose accumulation order differs in the last ulp, which would make an
+image's bytes depend on its batch (and break the golden, ZFNAf and timing
+validation that diffs hardware outputs against this model).
 
 The conv GEMM and the FC matvec are one plain BLAS call each, per image
 and per group, issued by :mod:`repro.nn.sparse`.  They multiply every
@@ -91,38 +89,26 @@ def pad_input(activations: np.ndarray, pad: int) -> np.ndarray:
 def im2col(
     activations: np.ndarray, kernel_y: int, kernel_x: int, stride: int
 ) -> np.ndarray:
-    """Unfold windows of a (pre-padded) ``(z, y, x)`` array into columns.
+    """Unfold windows of a (pre-padded) ``(batch, z, y, x)`` stack into columns.
 
-    Returns an array of shape ``(out_y * out_x, z * kernel_y * kernel_x)``
-    where each row is one window flattened in ``(z, fy, fx)`` order.  A
-    batched ``(batch, z, y, x)`` input unfolds every image at once and
-    returns ``(batch, out_y * out_x, z * kernel_y * kernel_x)``; each
-    ``cols[b]`` is a C-contiguous buffer identical to the single-image
-    unfold of ``activations[b]``.
+    Returns ``(batch, out_y * out_x, z * kernel_y * kernel_x)``: each
+    ``cols[b]`` is a C-contiguous buffer whose rows are image ``b``'s
+    windows flattened in ``(z, fy, fx)`` order.  A single ``(z, y, x)``
+    image returns its ``(out_y * out_x, z * kernel_y * kernel_x)`` columns.
     """
-    if activations.ndim == 4:
-        batch, depth, in_y, in_x = activations.shape
-        out_y = (in_y - kernel_y) // stride + 1
-        out_x = (in_x - kernel_x) // stride + 1
-        sb, sz, sy, sx = activations.strides
-        windows = np.lib.stride_tricks.as_strided(
-            activations,
-            shape=(batch, out_y, out_x, depth, kernel_y, kernel_x),
-            strides=(sb, sy * stride, sx * stride, sz, sy, sx),
-            writeable=False,
-        )
-        return windows.reshape(batch, out_y * out_x, depth * kernel_y * kernel_x)
-    depth, in_y, in_x = activations.shape
+    if activations.ndim == 3:
+        return im2col(activations[np.newaxis], kernel_y, kernel_x, stride)[0]
+    batch, depth, in_y, in_x = activations.shape
     out_y = (in_y - kernel_y) // stride + 1
     out_x = (in_x - kernel_x) // stride + 1
-    sz, sy, sx = activations.strides
+    sb, sz, sy, sx = activations.strides
     windows = np.lib.stride_tricks.as_strided(
         activations,
-        shape=(out_y, out_x, depth, kernel_y, kernel_x),
-        strides=(sy * stride, sx * stride, sz, sy, sx),
+        shape=(batch, out_y, out_x, depth, kernel_y, kernel_x),
+        strides=(sb, sy * stride, sx * stride, sz, sy, sx),
         writeable=False,
     )
-    return windows.reshape(out_y * out_x, depth * kernel_y * kernel_x)
+    return windows.reshape(batch, out_y * out_x, depth * kernel_y * kernel_x)
 
 
 def conv2d(
@@ -138,7 +124,8 @@ def conv2d(
     Parameters
     ----------
     activations:
-        Input neurons, shape ``(i, Iy, Ix)`` or batched ``(batch, i, Iy, Ix)``.
+        Input neurons, a ``(batch, i, Iy, Ix)`` stack or one ``(i, Iy, Ix)``
+        image.
     weights:
         Synapses, shape ``(N, i // groups, Fy, Fx)``.
     bias:
@@ -150,17 +137,15 @@ def conv2d(
 
     Returns
     -------
-    Output neurons of shape ``(N, Oy, Ox)`` — or ``(batch, N, Oy, Ox)`` for
-    batched input — (pre-activation — apply :func:`relu` separately,
-    mirroring the hardware where ReLU happens at the output of the unit
-    back-end).  Batched output rows are bit-identical to single-image
-    calls: im2col is stacked across the batch, but the GEMM runs per image
-    (see module docstring).
+    Output neurons of shape ``(batch, N, Oy, Ox)`` — ``(N, Oy, Ox)`` for one
+    image — (pre-activation — apply :func:`relu` separately, mirroring the
+    hardware where ReLU happens at the output of the unit back-end).
+    im2col is stacked across the batch, but the GEMM runs per image (see
+    module docstring).
     """
-    if activations.ndim == 4:
-        depth, in_y, in_x = activations.shape[1:]
-    else:
-        depth, in_y, in_x = activations.shape
+    if activations.ndim == 3:
+        return conv2d(activations[np.newaxis], weights, bias, stride, pad, groups)[0]
+    batch, depth, in_y, in_x = activations.shape
     num_filters, w_depth, kernel_y, kernel_x = weights.shape
     if depth % groups or num_filters % groups:
         raise ValueError("depth and num_filters must be divisible by groups")
@@ -177,40 +162,24 @@ def conv2d(
     # Compute in the inputs' precision (float32 weights halve the cost of
     # the full-resolution experiment sweeps; default stays float64).
     out_dtype = np.result_type(activations, weights)
-    # The bias add is unconditional (0.0 when absent): it maps -0.0 to
-    # +0.0, and the batched and single-image paths end with the same add.
-    if activations.ndim == 4:
-        batch = activations.shape[0]
-        out = np.empty((batch, num_filters, out_y, out_x), dtype=out_dtype)
-        for g in range(groups):
-            cols = im2col(
-                padded[:, g * group_depth : (g + 1) * group_depth],
-                kernel_y,
-                kernel_x,
-                stride,
-            )
-            for b in range(batch):
-                # (out_y*out_x, group_filters)
-                result = kernels.partitioned_gemm(cols[b], weights, g, groups)
-                out[b, g * group_filters : (g + 1) * group_filters] = (
-                    result.T.reshape(group_filters, out_y, out_x)
-                )
-        out += (
-            np.asarray(bias).reshape(1, num_filters, 1, 1) if bias is not None else 0.0
-        )
-        return out
-
-    out = np.empty((num_filters, out_y, out_x), dtype=out_dtype)
+    out = np.empty((batch, num_filters, out_y, out_x), dtype=out_dtype)
     for g in range(groups):
         cols = im2col(
-            padded[g * group_depth : (g + 1) * group_depth], kernel_y, kernel_x, stride
+            padded[:, g * group_depth : (g + 1) * group_depth],
+            kernel_y,
+            kernel_x,
+            stride,
         )
-        # (out_y*out_x, group_filters)
-        result = kernels.partitioned_gemm(cols, weights, g, groups)
-        out[g * group_filters : (g + 1) * group_filters] = result.T.reshape(
-            group_filters, out_y, out_x
-        )
-    out += np.asarray(bias).reshape(num_filters, 1, 1) if bias is not None else 0.0
+        for b in range(batch):
+            # (out_y*out_x, group_filters)
+            result = kernels.partitioned_gemm(cols[b], weights, g, groups)
+            out[b, g * group_filters : (g + 1) * group_filters] = (
+                result.T.reshape(group_filters, out_y, out_x)
+            )
+    # The bias add is unconditional (0.0 when absent): it maps -0.0 to +0.0.
+    out += (
+        np.asarray(bias).reshape(1, num_filters, 1, 1) if bias is not None else 0.0
+    )
     return out
 
 
@@ -279,9 +248,9 @@ def _pool2d_windows(
 ) -> np.ndarray:
     """Contiguous ``(..., out_y, out_x, kernel*kernel)`` window array.
 
-    The trailing axis holds each window flattened in ``(y, x)`` order —
-    the same contiguous buffer the per-pixel loop reduced — so reductions
-    over it are bit-identical to the loop's per-window reductions.
+    The trailing axis holds each window flattened in ``(y, x)`` order, so
+    reductions over it are bit-identical to per-window reductions (the
+    per-pixel loop ``tests/test_layers.py`` keeps as the reference).
     """
     lead = padded.shape[:-2]
     sy, sx = padded.strides[-2:]
@@ -297,71 +266,29 @@ def _pool2d_windows(
 
 
 def _pool2d(
-    activations: np.ndarray,
-    kernel: int,
-    stride: int,
-    pad: int,
-    reducer,
-    window_reducer,
+    activations: np.ndarray, kernel: int, stride: int, pad: int, reduce
 ) -> np.ndarray:
+    # conv_output_size floors, so the last window ends inside the padded
+    # input: ``(out - 1) * stride + kernel <= in + 2 * pad``.
     in_y, in_x = activations.shape[-2:]
     out_y = conv_output_size(in_y, kernel, stride, pad)
     out_x = conv_output_size(in_x, kernel, stride, pad)
     padded = pad_input(activations, pad)
-    if (
-        (out_y - 1) * stride + kernel <= padded.shape[-2]
-        and (out_x - 1) * stride + kernel <= padded.shape[-1]
-    ):
-        # No-overhang fast path: one stride-tricks window view and a single
-        # vectorized reduction over the flattened windows.
-        return window_reducer(_pool2d_windows(padded, kernel, stride, out_y, out_x))
-    # Pooling windows may overhang the padded input on the far edge for
-    # some Caffe geometries (ceil-mode); clip window extents instead.
-    if activations.ndim == 4:
-        return np.stack(
-            [
-                _pool2d(image, kernel, stride, pad, reducer, window_reducer)
-                for image in activations
-            ]
-        )
-    depth = activations.shape[0]
-    out = np.empty((depth, out_y, out_x), dtype=activations.dtype)
-    for oy in range(out_y):
-        y0 = oy * stride
-        y1 = min(y0 + kernel, padded.shape[1])
-        for ox in range(out_x):
-            x0 = ox * stride
-            x1 = min(x0 + kernel, padded.shape[2])
-            out[:, oy, ox] = reducer(padded[:, y0:y1, x0:x1])
-    return out
+    return reduce(_pool2d_windows(padded, kernel, stride, out_y, out_x), axis=-1)
 
 
 def max_pool2d(
     activations: np.ndarray, kernel: int, stride: int, pad: int = 0
 ) -> np.ndarray:
-    """Max pooling over ``kernel x kernel`` windows (batch axis supported)."""
-    return _pool2d(
-        activations,
-        kernel,
-        stride,
-        pad,
-        lambda w: w.reshape(w.shape[0], -1).max(axis=1),
-        lambda windows: windows.max(axis=-1),
-    )
+    """Max pooling over ``kernel x kernel`` windows of the last two axes."""
+    return _pool2d(activations, kernel, stride, pad, np.max)
 
 
 def avg_pool2d(
     activations: np.ndarray, kernel: int, stride: int, pad: int = 0
 ) -> np.ndarray:
-    """Average pooling over ``kernel x kernel`` windows (batch axis supported)."""
-    return _pool2d(
-        activations,
-        kernel,
-        stride,
-        pad,
-        lambda w: w.reshape(w.shape[0], -1).mean(axis=1),
-        lambda windows: windows.mean(axis=-1),
-    )
+    """Average pooling over ``kernel x kernel`` windows of the last two axes."""
+    return _pool2d(activations, kernel, stride, pad, np.mean)
 
 
 def lrn(
@@ -413,46 +340,36 @@ def fully_connected(
 ) -> np.ndarray:
     """Fully-connected layer: flatten input, multiply by ``(out, in)`` weights.
 
-    A batched ``(batch, ...)`` input (ndim == 4) yields ``(batch, out)``.
-    The matrix-vector product runs per image: BLAS GEMV and GEMM kernels
-    accumulate in different orders, so a single stacked GEMM would not be
-    bit-identical to the single-image path (see module docstring).
+    A ``(batch, ...)`` stack yields ``(batch, out)``; one ``(depth, H, W)``
+    image yields ``(out,)``.  The matrix-vector product runs per image:
+    BLAS GEMV and GEMM kernels accumulate in different orders, so a single
+    stacked GEMM would make an image's bytes depend on its batch (see
+    module docstring).
     """
-    if activations.ndim == 4:
-        batch = activations.shape[0]
-        flat = activations.reshape(batch, -1)
-        if weights.shape[1] != flat.shape[1]:
-            raise ValueError(
-                f"FC weight columns {weights.shape[1]} != flattened input "
-                f"{flat.shape[1]}"
-            )
-        out = np.empty(
-            (batch, weights.shape[0]), dtype=np.result_type(activations, weights)
-        )
-        for b in range(batch):
-            out[b] = kernels.partitioned_matvec(weights, flat[b])
-        out = out + (bias if bias is not None else 0.0)
-        return out
-    flat = activations.reshape(-1)
-    if weights.shape[1] != flat.size:
+    if activations.ndim == 3:
+        return fully_connected(activations[np.newaxis], weights, bias)[0]
+    batch = activations.shape[0]
+    flat = activations.reshape(batch, -1)
+    if weights.shape[1] != flat.shape[1]:
         raise ValueError(
-            f"FC weight columns {weights.shape[1]} != flattened input {flat.size}"
+            f"FC weight columns {weights.shape[1]} != flattened input "
+            f"{flat.shape[1]}"
         )
-    out = kernels.partitioned_matvec(weights, flat)
-    out = out + (bias if bias is not None else 0.0)
-    return out
+    out = np.empty(
+        (batch, weights.shape[0]), dtype=np.result_type(activations, weights)
+    )
+    for b in range(batch):
+        out[b] = kernels.partitioned_matvec(weights, flat[b])
+    return out + (bias if bias is not None else 0.0)
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
-    """Numerically stable softmax over a 1-D logit vector.
+    """Numerically stable softmax, row-wise over a ``(batch, classes)`` array.
 
-    A 2-D ``(batch, classes)`` input is normalized row-wise, bit-identical
-    to per-row calls.
+    A 1-D logit vector is a batch of one.
     """
-    if logits.ndim == 2:
-        shifted = logits - logits.max(axis=-1, keepdims=True)
-        exps = np.exp(shifted)
-        return exps / exps.sum(axis=-1, keepdims=True)
-    shifted = logits - logits.max()
+    if logits.ndim == 1:
+        return softmax(logits[np.newaxis])[0]
+    shifted = logits - logits.max(axis=-1, keepdims=True)
     exps = np.exp(shifted)
-    return exps / exps.sum()
+    return exps / exps.sum(axis=-1, keepdims=True)

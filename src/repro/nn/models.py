@@ -25,8 +25,7 @@ from __future__ import annotations
 
 from dataclasses import replace
 
-from repro.nn.layers import conv_output_size
-from repro.nn.network import LayerKind, LayerSpec, Network
+from repro.nn.network import LayerKind, LayerSpec, Network, Shape3D, layer_output_shape
 
 __all__ = ["build_network", "network_names", "NETWORK_BUILDERS", "TABLE1_SOURCES"]
 
@@ -281,9 +280,7 @@ def network_names() -> list[str]:
     return ["alex", "google", "nin", "vgg19", "cnnM", "cnnS"]
 
 
-def _adapt_pools(
-    input_shape: tuple[int, int, int], layers: list[LayerSpec]
-) -> list[LayerSpec]:
+def _adapt_pools(network: Network, input_shape: Shape3D) -> list[LayerSpec]:
     """Clamp pooling kernels that exceed the incoming feature-map size.
 
     At the published input resolutions this is a no-op.  At the reduced
@@ -291,44 +288,22 @@ def _adapt_pools(
     global-average pools (and occasionally an inner pool) would overhang
     the shrunken feature maps; clamping the kernel (and stride) to the map
     size preserves each network's topology and conv-layer geometry ratios.
+    Clamping leaves the layer graph alone, so ``network``'s (full-size)
+    graph gives each layer's inputs at ``input_shape`` too.
     """
-    shapes: dict[str, tuple[int, int, int]] = {}
-    new_layers: list[LayerSpec] = []
-
-    def producer_shape(idx: int, layer: LayerSpec) -> tuple[int, int, int]:
-        if layer.input_from is None:
-            if idx == 0:
-                return input_shape
-            return shapes[new_layers[idx - 1].name]
-        return shapes[layer.input_from[0]]
-
-    for idx, layer in enumerate(layers):
-        if layer.kind == LayerKind.CONCAT:
-            parts = [shapes[src] for src in layer.input_from]
-            shapes[layer.name] = (sum(s[0] for s in parts), parts[0][1], parts[0][2])
-            new_layers.append(layer)
-            continue
-        depth, in_y, in_x = producer_shape(idx, layer)
+    shapes: dict[str, Shape3D] = {}
+    layers: list[LayerSpec] = []
+    for layer in network.layers:
+        sources = [shapes[src] for src in network.inputs(layer.name)] or [input_shape]
         if layer.kind in (LayerKind.MAXPOOL, LayerKind.AVGPOOL):
-            spatial = min(in_y, in_x)
+            spatial = min(sources[0][1:])
             if layer.kernel - 2 * layer.pad > spatial:
                 layer = replace(
                     layer, kernel=spatial, stride=min(layer.stride, spatial), pad=0
                 )
-        if layer.kind == LayerKind.CONV:
-            out_y = conv_output_size(in_y, layer.kernel, layer.stride, layer.pad)
-            out_x = conv_output_size(in_x, layer.kernel, layer.stride, layer.pad)
-            shapes[layer.name] = (layer.num_filters, out_y, out_x)
-        elif layer.kind in (LayerKind.MAXPOOL, LayerKind.AVGPOOL):
-            out_y = conv_output_size(in_y, layer.kernel, layer.stride, layer.pad)
-            out_x = conv_output_size(in_x, layer.kernel, layer.stride, layer.pad)
-            shapes[layer.name] = (depth, out_y, out_x)
-        elif layer.kind == LayerKind.FC:
-            shapes[layer.name] = (layer.num_filters, 1, 1)
-        else:
-            shapes[layer.name] = (depth, in_y, in_x)
-        new_layers.append(layer)
-    return new_layers
+        shapes[layer.name] = layer_output_shape(layer, sources)
+        layers.append(layer)
+    return layers
 
 
 def build_network(name: str, input_size: int | None = None) -> Network:
@@ -348,6 +323,6 @@ def build_network(name: str, input_size: int | None = None) -> Network:
     network = builder()
     if input_size is not None and input_size != network.input_shape[1]:
         input_shape = (network.input_shape[0], input_size, input_size)
-        layers = _adapt_pools(input_shape, list(network.layers))
+        layers = _adapt_pools(network, input_shape)
         network = Network(name=network.name, input_shape=input_shape, layers=layers)
     return network

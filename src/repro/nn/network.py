@@ -1,4 +1,4 @@
-"""Network description: layer specs, shape inference, and the Network class.
+"""Network description: layer specs, the layer graph, and shape inference.
 
 A :class:`Network` is an ordered list of :class:`LayerSpec` objects plus the
 input shape.  It is a *description* — weights and activations live elsewhere
@@ -10,6 +10,13 @@ layer may read the output of any earlier named layer instead of its
 immediate predecessor, and a ``concat`` layer merges several named outputs
 along the depth axis.  This is sufficient to express every topology the
 paper evaluates.
+
+This module is the only reader of ``input_from``.  On construction a
+:class:`Network` derives, per layer, its inputs, its index, its output
+shape (through :func:`layer_output_shape`) and the outputs it reads last;
+the forward walks, the engine's threshold scopes and calibration query
+those facts.  Shapes are per image: the forward pass runs every input as
+a ``(batch, depth, H, W)`` stack, a single image being a batch of one.
 """
 
 from __future__ import annotations
@@ -18,7 +25,7 @@ from dataclasses import dataclass, field
 
 from repro.nn.layers import conv_output_size
 
-__all__ = ["LayerKind", "LayerSpec", "Network", "Shape3D"]
+__all__ = ["LayerKind", "LayerSpec", "Network", "Shape3D", "layer_output_shape"]
 
 #: Activation shape ``(depth, height, width)``.
 Shape3D = tuple[int, int, int]
@@ -93,9 +100,40 @@ class LayerSpec:
         return self.kind == LayerKind.CONV
 
 
+def layer_output_shape(layer: LayerSpec, sources: list[Shape3D]) -> Shape3D:
+    """Per-image output shape of ``layer`` given the shapes it reads.
+
+    ``sources`` lists one shape per input (the image's shape for a layer
+    that reads the image); only a concat reads several.
+    """
+    if layer.kind == LayerKind.CONCAT:
+        heights = {s[1] for s in sources}
+        widths = {s[2] for s in sources}
+        if len(heights) != 1 or len(widths) != 1:
+            raise ValueError(
+                f"concat {layer.name!r}: mismatched spatial dims {sources}"
+            )
+        return (sum(s[0] for s in sources), heights.pop(), widths.pop())
+    depth, in_y, in_x = sources[0]
+    if layer.kind == LayerKind.CONV:
+        if depth % layer.groups:
+            raise ValueError(
+                f"conv {layer.name!r}: depth {depth} not divisible by "
+                f"groups {layer.groups}"
+            )
+        depth = layer.num_filters
+    if layer.kind in (LayerKind.CONV, LayerKind.MAXPOOL, LayerKind.AVGPOOL):
+        out_y = conv_output_size(in_y, layer.kernel, layer.stride, layer.pad)
+        out_x = conv_output_size(in_x, layer.kernel, layer.stride, layer.pad)
+        return (depth, out_y, out_x)
+    if layer.kind == LayerKind.FC:
+        return (layer.num_filters, 1, 1)
+    return sources[0]  # relu, lrn, softmax, dropout: shape preserving
+
+
 @dataclass
 class Network:
-    """An ordered DNN description with shape inference.
+    """An ordered DNN description with its layer graph and shapes.
 
     Parameters
     ----------
@@ -105,6 +143,10 @@ class Network:
         Shape of the input image as ``(depth, height, width)``.
     layers:
         Layer specs in topological (execution) order.
+
+    A malformed graph — duplicate names, an ``input_from`` naming no
+    earlier layer, several inputs on a layer other than a concat, or
+    shapes that do not fit — raises :class:`ValueError` here.
     """
 
     name: str
@@ -116,60 +158,36 @@ class Network:
         if len(names) != len(set(names)):
             dupes = sorted({n for n in names if names.count(n) > 1})
             raise ValueError(f"duplicate layer names: {dupes}")
-        self._shapes = self._infer_shapes()
-
-    # ------------------------------------------------------------------
-    # shape inference
-    # ------------------------------------------------------------------
-    def _producer_shape(
-        self, index: int, shapes: dict[str, Shape3D]
-    ) -> Shape3D:
-        layer = self.layers[index]
-        if layer.input_from is None:
-            if index == 0:
-                return self.input_shape
-            return shapes[self.layers[index - 1].name]
-        if len(layer.input_from) != 1:
-            raise ValueError(f"layer {layer.name!r} has multiple producers")
-        return shapes[layer.input_from[0]]
-
-    def _infer_shapes(self) -> dict[str, Shape3D]:
-        shapes: dict[str, Shape3D] = {}
+        self._index = {name: idx for idx, name in enumerate(names)}
+        self._inputs: dict[str, tuple[str, ...]] = {}
+        self._shapes: dict[str, Shape3D] = {}
+        last_reader: dict[str, str] = {}
         for idx, layer in enumerate(self.layers):
-            if layer.kind == LayerKind.CONCAT:
-                parts = [shapes[src] for src in layer.input_from]
-                heights = {s[1] for s in parts}
-                widths = {s[2] for s in parts}
-                if len(heights) != 1 or len(widths) != 1:
-                    raise ValueError(
-                        f"concat {layer.name!r}: mismatched spatial dims {parts}"
-                    )
-                shapes[layer.name] = (
-                    sum(s[0] for s in parts),
-                    heights.pop(),
-                    widths.pop(),
+            inputs = self._derive_inputs(idx, layer)
+            self._inputs[layer.name] = inputs
+            sources = [self._shapes[src] for src in inputs] or [self.input_shape]
+            self._shapes[layer.name] = layer_output_shape(layer, sources)
+            for src in inputs:
+                last_reader[src] = layer.name
+        self._last_reads: dict[str, tuple[str, ...]] = {name: () for name in names}
+        for src, reader in last_reader.items():
+            self._last_reads[reader] += (src,)
+
+    def _derive_inputs(self, index: int, layer: LayerSpec) -> tuple[str, ...]:
+        if layer.input_from is None:
+            return (self.layers[index - 1].name,) if index else ()
+        if layer.kind != LayerKind.CONCAT and len(layer.input_from) != 1:
+            raise ValueError(
+                f"{layer.kind} layer {layer.name!r} must read exactly one "
+                f"input, not {layer.input_from}"
+            )
+        for src in layer.input_from:
+            if src not in self._shapes:
+                raise ValueError(
+                    f"layer {layer.name!r} reads {src!r}, which is not an "
+                    f"earlier layer"
                 )
-                continue
-            src = self._producer_shape(idx, shapes)
-            depth, in_y, in_x = src
-            if layer.kind == LayerKind.CONV:
-                if depth % layer.groups:
-                    raise ValueError(
-                        f"conv {layer.name!r}: depth {depth} not divisible by "
-                        f"groups {layer.groups}"
-                    )
-                out_y = conv_output_size(in_y, layer.kernel, layer.stride, layer.pad)
-                out_x = conv_output_size(in_x, layer.kernel, layer.stride, layer.pad)
-                shapes[layer.name] = (layer.num_filters, out_y, out_x)
-            elif layer.kind in (LayerKind.MAXPOOL, LayerKind.AVGPOOL):
-                out_y = conv_output_size(in_y, layer.kernel, layer.stride, layer.pad)
-                out_x = conv_output_size(in_x, layer.kernel, layer.stride, layer.pad)
-                shapes[layer.name] = (depth, out_y, out_x)
-            elif layer.kind == LayerKind.FC:
-                shapes[layer.name] = (layer.num_filters, 1, 1)
-            else:  # relu, lrn, softmax, dropout: shape preserving
-                shapes[layer.name] = src
-        return shapes
+        return tuple(layer.input_from)
 
     # ------------------------------------------------------------------
     # queries
@@ -178,19 +196,28 @@ class Network:
         """Activation shape produced by ``layer_name``."""
         return self._shapes[layer_name]
 
+    def inputs(self, layer_name: str) -> tuple[str, ...]:
+        """Names of the layers whose outputs ``layer_name`` reads.
+
+        Empty for the layer that reads the image; every producer, in
+        order, for a concat; exactly one name otherwise.
+        """
+        return self._inputs[layer_name]
+
+    def last_reads(self, layer_name: str) -> tuple[str, ...]:
+        """Outputs no layer after ``layer_name`` reads: once it has run, a
+        forward pass that keeps no outputs can drop them."""
+        return self._last_reads[layer_name]
+
     def input_shape_of(self, layer_name: str) -> Shape3D:
-        """Activation shape consumed by ``layer_name`` (first producer)."""
-        idx = self.index_of(layer_name)
-        layer = self.layers[idx]
-        if layer.kind == LayerKind.CONCAT:
+        """Activation shape consumed by ``layer_name`` (a non-concat layer)."""
+        if self.layers[self._index[layer_name]].kind == LayerKind.CONCAT:
             raise ValueError("concat layers have multiple input shapes")
-        return self._producer_shape(idx, self._shapes)
+        inputs = self._inputs[layer_name]
+        return self._shapes[inputs[0]] if inputs else self.input_shape
 
     def index_of(self, layer_name: str) -> int:
-        for idx, layer in enumerate(self.layers):
-            if layer.name == layer_name:
-                return idx
-        raise KeyError(layer_name)
+        return self._index[layer_name]
 
     @property
     def conv_layers(self) -> list[LayerSpec]:
@@ -219,27 +246,11 @@ class Network:
             "out_x": out_x,
         }
 
-    def conv_producers(self) -> dict[str, str]:
-        """Map each conv layer to the name of the layer producing its input.
-
-        The empty string marks conv layers fed directly by the network
-        input image — the "first" layers that CNV processes unencoded.
-        """
-        producers: dict[str, str] = {}
-        for idx, layer in enumerate(self.layers):
-            if not layer.is_conv:
-                continue
-            if layer.input_from is not None:
-                producers[layer.name] = layer.input_from[0]
-            elif idx == 0:
-                producers[layer.name] = ""
-            else:
-                producers[layer.name] = self.layers[idx - 1].name
-        return producers
-
     def first_conv_layers(self) -> set[str]:
         """Conv layers consuming the raw input image (not accelerated by CNV)."""
-        return {name for name, prod in self.conv_producers().items() if prod == ""}
+        return {
+            layer.name for layer in self.conv_layers if not self._inputs[layer.name]
+        }
 
     def macs_per_layer(self) -> dict[str, int]:
         """Multiply-accumulate counts per layer (conv and FC)."""

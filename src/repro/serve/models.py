@@ -40,8 +40,7 @@ from repro.experiments.config import PaperConfig
 from repro.experiments.context import ExperimentContext
 from repro.hw.config import PAPER_CONFIG, ArchConfig
 from repro.nn.datasets import natural_image
-from repro.nn.engine import slice_result
-from repro.nn.inference import run_forward
+from repro.nn.inference import run_forward, slice_result
 from repro.nn.network import Network
 from repro.serve.requests import ServeRequest, ServeResponse
 

@@ -2,11 +2,14 @@
 
 The contract under test: a layer called on a ``(batch, ...)`` stack
 returns, for every image, exactly the bytes the same layer returns for
-that image alone.  The forward engine, the serving batcher and the
-engine cache all rely on it (``tests/test_forward_engine.py`` and the
-serving differentials check it for whole networks); this harness checks
-it per layer for ``conv2d`` and ``fully_connected``, whose BLAS calls
-are the ones that could break it.
+that image alone.  The batched path is the only path — a single image
+runs as a batch of one — so the contract says an image's bytes do not
+depend on the batch it rides in.  The forward engine, the serving
+batcher and the engine cache all rely on it
+(``tests/test_forward_engine.py`` and the serving differentials check it
+for whole networks); this harness checks it per layer for ``conv2d`` and
+``fully_connected``, whose per-image BLAS calls are the ones that could
+break it.
 
 This module is a library, not a test file (pytest does not collect it):
 ``tests/test_layers.py`` drives the grids, and the integrity suite

@@ -51,17 +51,6 @@ class TestConfig:
         assert cfg.input_size("alex") == 115
         assert cfg.input_size("vgg19") == 112
 
-    def test_cache_roundtrip(self, tmp_path):
-        cfg = PaperConfig(scale="tiny", cache_dir=tmp_path)
-        cfg.cache_store("calib", "x", {"a": 1.5})
-        assert cfg.cache_load("calib", "x") == {"a": 1.5}
-        assert cfg.cache_load("calib", "y") is None
-
-    def test_cache_disabled(self, tmp_path):
-        cfg = PaperConfig(scale="tiny", cache_dir=tmp_path, use_cache=False)
-        cfg.cache_store("calib", "x", {"a": 1})
-        assert cfg.cache_load("calib", "x") is None
-
 
 class TestContext:
     def test_thresholds_key_normalizes(self):

@@ -16,12 +16,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.experiments.config import PaperConfig
-from repro.nn.engine import (
-    IncrementalForwardEngine,
-    slice_result,
-    threshold_scopes,
-)
-from repro.nn.inference import init_weights, run_forward
+from repro.nn.engine import IncrementalForwardEngine, threshold_scopes
+from repro.nn.inference import init_weights, run_forward, slice_result
 from repro.nn.models import build_network, network_names
 from repro.nn.network import LayerSpec, Network
 

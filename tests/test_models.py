@@ -1,11 +1,32 @@
 """Tests of the six Table I network definitions (repro.nn.models)."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.nn.models import TABLE1_SOURCES, build_network, network_names
 
 #: Conv-layer counts from the paper's Table I.
 TABLE1 = {"alex": 5, "google": 59, "nin": 12, "vgg19": 16, "cnnM": 5, "cnnS": 5}
+
+#: Every pooling layer ``build_network`` clamps, per (224-net, alex) input
+#: size, as (kernel, stride, pad) at full size -> at that size.
+CLAMPED_POOLS = {
+    (64, 67): {
+        ("google", "loss1/ave_pool"): ((5, 3, 0), (4, 3, 0)),
+        ("google", "loss2/ave_pool"): ((5, 3, 0), (4, 3, 0)),
+        ("google", "pool5/7x7_s1"): ((7, 1, 0), (2, 1, 0)),
+        ("nin", "pool3"): ((3, 2, 0), (2, 2, 0)),
+        ("nin", "pool4"): ((5, 1, 0), (1, 1, 0)),
+        ("cnnM", "pool5"): ((3, 2, 0), (2, 2, 0)),
+        ("cnnS", "pool5"): ((3, 3, 0), (2, 2, 0)),
+    },
+    (112, 115): {
+        ("google", "pool5/7x7_s1"): ((7, 1, 0), (4, 1, 0)),
+        ("nin", "pool4"): ((5, 1, 0), (2, 1, 0)),
+    },
+    (224, 227): {},
+}
 
 
 class TestTable1:
@@ -94,6 +115,30 @@ class TestScaledBuilds:
         assert [l.num_filters for l in full.conv_layers] == [
             l.num_filters for l in small.conv_layers
         ]
+
+    @pytest.mark.parametrize(
+        "sizes", sorted(CLAMPED_POOLS), ids=lambda sizes: "%d-%d" % sizes
+    )
+    def test_pool_clamps_pinned(self, sizes):
+        """The clamped pools' geometry, and no other layer's, differs
+        from the full-size network's."""
+        clamped = {}
+        for name in network_names():
+            size = sizes[1] if name == "alex" else sizes[0]
+            full = build_network(name)
+            scaled = build_network(name, input_size=size)
+            assert [l.name for l in scaled.layers] == [l.name for l in full.layers]
+            for before, after in zip(full.layers, scaled.layers):
+                if before == after:
+                    continue
+                geometry = (after.kernel, after.stride, after.pad)
+                assert replace(
+                    before, kernel=geometry[0], stride=geometry[1], pad=geometry[2]
+                ) == after, after.name
+                clamped[(name, after.name)] = (
+                    (before.kernel, before.stride, before.pad), geometry
+                )
+        assert clamped == CLAMPED_POOLS[sizes]
 
     def test_default_size_unchanged(self):
         assert build_network("alex").input_shape == (3, 227, 227)

@@ -96,6 +96,33 @@ class TestShapes:
                 ],
             )
 
+    @pytest.mark.parametrize("source", ["conv9", "b", "a"])
+    def test_input_that_is_no_earlier_layer_rejected(self, source):
+        """An unknown, later or own name fails where the graph is derived,
+        naming the layer and the bad input."""
+        with pytest.raises(ValueError, match=rf"'a' reads '{source}'"):
+            Network(
+                name="t",
+                input_shape=(3, 4, 4),
+                layers=[
+                    LayerSpec(name="x", kind="relu"),
+                    LayerSpec(name="a", kind="relu", input_from=(source,)),
+                    LayerSpec(name="b", kind="relu"),
+                ],
+            )
+
+    def test_several_inputs_only_on_a_concat(self):
+        with pytest.raises(ValueError, match=r"'b' must read exactly one input"):
+            Network(
+                name="t",
+                input_shape=(3, 4, 4),
+                layers=[
+                    LayerSpec(name="a", kind="relu"),
+                    LayerSpec(name="x", kind="relu"),
+                    LayerSpec(name="b", kind="relu", input_from=("a", "x")),
+                ],
+            )
+
 
 class TestQueries:
     def test_conv_layers_in_order(self):
@@ -140,12 +167,31 @@ class TestQueries:
         # Each filter sees depth 4, not 8.
         assert net.macs_per_layer()["c"] == 4 * 4 * 4 * 4
 
-    def test_conv_producers_and_first(self):
+    def test_inputs_and_first(self):
         net = simple_net()
-        producers = net.conv_producers()
-        assert producers["conv1"] == ""
-        assert producers["conv2"] == "pool1"
+        assert net.inputs("conv1") == ()
+        assert net.inputs("conv2") == ("pool1",)
         assert net.first_conv_layers() == {"conv1"}
+
+    def test_inputs_and_last_reads_follow_branches(self):
+        net = Network(
+            name="t",
+            input_shape=(4, 6, 6),
+            layers=[
+                LayerSpec(name="a", kind="conv", num_filters=2, kernel=1),
+                LayerSpec(name="b", kind="conv", num_filters=3, kernel=1),
+                LayerSpec(name="c", kind="conv", num_filters=5, kernel=1, input_from=("a",)),
+                LayerSpec(name="cat", kind="concat", input_from=("b", "c")),
+                LayerSpec(name="prob", kind="softmax"),
+            ],
+        )
+        assert [net.inputs(l.name) for l in net.layers] == [
+            (), ("a",), ("a",), ("b", "c"), ("cat",),
+        ]
+        assert [net.last_reads(l.name) for l in net.layers] == [
+            (), (), ("a",), ("b", "c"), ("cat",),
+        ]
+        assert net.index_of("cat") == 3
 
     def test_describe_mentions_all_layers(self):
         text = simple_net().describe()

@@ -87,6 +87,20 @@ class TestEnvironmentAccess:
         assert offenders == []
 
 
+class TestLayerGraph:
+    def test_only_the_network_module_reads_input_from(self):
+        """``Network`` derives every layer's inputs; the forward walks,
+        threshold scopes, calibration and the pool adapter query them."""
+        src = REPO / "src" / "repro"
+        offenders = [
+            str(path.relative_to(src))
+            for path in sorted(src.rglob("*.py"))
+            if path != src / "nn" / "network.py"
+            and re.search(r"\.input_from\b", path.read_text())
+        ]
+        assert offenders == []
+
+
 class TestContinuousIntegration:
     def test_backends_job_matrix_matches_registry(self):
         """The CI `backends` job runs one conformance job per registered
