@@ -7,11 +7,12 @@ sweep quantifies the conv-layer cycle impact on the evaluated networks.
 """
 
 from conftest import run_once
-from repro.core.timing import cnv_network_timing
+from repro.backends import get_backend
 from repro.experiments.report import format_table
 
 
 def _sweep(ctx):
+    cnv = get_backend("cnv")
     rows = []
     for name in ctx.config.networks:
         nctx = ctx.network_ctx(name)
@@ -20,7 +21,7 @@ def _sweep(ctx):
         row = {"network": name}
         for brick in (8, 16, 32):
             cfg = ctx.arch.with_(brick_size=brick)
-            cycles = cnv_network_timing(nctx.network, fwd.conv_inputs, cfg).total_cycles
+            cycles = cnv.network_timing(nctx.network, fwd.conv_inputs, cfg).total_cycles
             offset_bits = cfg.offset_bits
             row[f"speedup_b{brick}"] = base / cycles
             row[f"overhead_b{brick}"] = offset_bits / cfg.data_bits

@@ -7,18 +7,19 @@ choice costs.
 """
 
 from conftest import run_once
-from repro.core.timing import cnv_network_timing
+from repro.backends import get_backend
 from repro.experiments.report import format_table
 
 
 def _speedups(ctx):
+    cnv = get_backend("cnv")
     rows = []
     for name in ctx.config.networks:
         nctx = ctx.network_ctx(name)
         fwd = ctx.forward(name, 0)
         base = ctx.timing("baseline", name).total_cycles
-        one = cnv_network_timing(nctx.network, fwd.conv_inputs, ctx.arch).total_cycles
-        free = cnv_network_timing(
+        one = cnv.network_timing(nctx.network, fwd.conv_inputs, ctx.arch).total_cycles
+        free = cnv.network_timing(
             nctx.network, fwd.conv_inputs, ctx.arch.with_(empty_brick_cycles=0)
         ).total_cycles
         rows.append(

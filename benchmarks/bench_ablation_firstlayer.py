@@ -7,18 +7,19 @@ choice.
 """
 
 from conftest import run_once
-from repro.core.timing import cnv_network_timing
+from repro.backends import get_backend
 from repro.experiments.report import format_table
 
 
 def _sweep(ctx):
+    cnv = get_backend("cnv")
     rows = []
     for name in ctx.config.networks:
         nctx = ctx.network_ctx(name)
         fwd = ctx.forward(name, 0)
         base = ctx.timing("baseline", name).total_cycles
-        plain = cnv_network_timing(nctx.network, fwd.conv_inputs, ctx.arch).total_cycles
-        encoded = cnv_network_timing(
+        plain = cnv.network_timing(nctx.network, fwd.conv_inputs, ctx.arch).total_cycles
+        encoded = cnv.network_timing(
             nctx.network, fwd.conv_inputs, ctx.arch.with_(first_layer_encoded=True)
         ).total_cycles
         rows.append(

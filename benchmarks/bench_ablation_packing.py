@@ -7,12 +7,12 @@ against NM-row-contiguous packing on conv1 runtime share and speedup.
 """
 
 from conftest import run_once
-from repro.baseline.timing import baseline_network_timing
-from repro.core.timing import cnv_network_timing
+from repro.backends import get_backend
 from repro.experiments.report import format_table
 
 
 def _sweep(ctx):
+    baseline, skipping = get_backend("baseline"), get_backend("cnv")
     rows = []
     for name in ctx.config.networks:
         nctx = ctx.network_ctx(name)
@@ -20,8 +20,8 @@ def _sweep(ctx):
         row = {"network": name}
         for packing in ("window", "row"):
             cfg = ctx.arch.with_(fetch_packing=packing)
-            base = baseline_network_timing(nctx.network, fwd.conv_inputs, cfg)
-            cnv = cnv_network_timing(nctx.network, fwd.conv_inputs, cfg)
+            base = baseline.network_timing(nctx.network, fwd.conv_inputs, cfg)
+            cnv = skipping.network_timing(nctx.network, fwd.conv_inputs, cfg)
             first = nctx.network.first_conv_layers()
             conv1 = sum(l.cycles for l in base.layers if l.name in first)
             row[f"conv1_share_{packing}"] = conv1 / base.total_cycles

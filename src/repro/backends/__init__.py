@@ -3,7 +3,6 @@
 from repro.backends.cnv2 import (
     brick_slot_mask,
     cnv2_conv_timing,
-    cnv2_network_timing,
     pair_intersection_counts,
     pass_weight_union,
 )
@@ -16,11 +15,7 @@ from repro.backends.registry import (
     power_model_for,
     register,
 )
-from repro.backends.scnn import (
-    effectual_pair_count,
-    scnn_conv_timing,
-    scnn_network_timing,
-)
+from repro.backends.scnn import effectual_pair_count, scnn_conv_timing
 from repro.backends.weights import (
     DEFAULT_WEIGHT_SPARSITY,
     prune_conv_weights,
@@ -44,8 +39,6 @@ __all__ = [
     "pass_weight_union",
     "pair_intersection_counts",
     "cnv2_conv_timing",
-    "cnv2_network_timing",
     "effectual_pair_count",
     "scnn_conv_timing",
-    "scnn_network_timing",
 ]

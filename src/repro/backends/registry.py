@@ -7,7 +7,7 @@ one record naming its timing simulators (layer- and network-level), its
 power model, and the contract flags the cross-backend conformance suite
 keys off.  Consumers (the experiment context's one timing cache, and
 through it every figure and the serving tier; ``repro-obs report``, the
-``cnvlutin-sim`` CLI, ``repro.cluster``) discover backends through
+``cnvlutin-sim`` CLI, the ablation benchmarks) discover backends through
 :func:`get_backend` / :func:`iter_backends` instead of importing
 simulator modules directly — adding a backend means one :func:`register`
 call, and the conformance suite (parameterized over

@@ -12,14 +12,10 @@ from repro.baseline.accelerator import (
     build_fetch_blocks,
     build_sb_columns,
 )
-from repro.baseline.gated import gated_conv_timing, gated_network_timing
+from repro.baseline.gated import gated_conv_timing
 from repro.baseline.nfu import NFU
 from repro.baseline.other_layers import other_layer_timing, other_layers_timing
-from repro.baseline.timing import (
-    baseline_conv_timing,
-    baseline_network_timing,
-    conv_works_from_inputs,
-)
+from repro.baseline.timing import baseline_conv_timing, conv_works_from_inputs
 from repro.baseline.workload import ConvWork, ceil_div, group_activations, window_sums
 
 __all__ = [
@@ -29,11 +25,9 @@ __all__ = [
     "build_sb_columns",
     "NFU",
     "gated_conv_timing",
-    "gated_network_timing",
     "other_layer_timing",
     "other_layers_timing",
     "baseline_conv_timing",
-    "baseline_network_timing",
     "conv_works_from_inputs",
     "ConvWork",
     "ceil_div",

@@ -29,12 +29,7 @@ from repro.core.stats import (
     structural_speedup_bound,
 )
 from repro.core.subunit import Subunit, build_subunit_sb
-from repro.core.timing import (
-    cnv_conv_timing,
-    cnv_network_timing,
-    lane_assignment,
-    window_lane_cycles,
-)
+from repro.core.timing import cnv_conv_timing, lane_assignment, window_lane_cycles
 from repro.core.unit import CnvUnit
 from repro.core.validate import LayerValidation, ValidationReport, validate_network
 from repro.core.zfnaf import ZfnafArray, decode, decode_brick, encode, encode_brick
@@ -65,7 +60,6 @@ __all__ = [
     "Subunit",
     "build_subunit_sb",
     "cnv_conv_timing",
-    "cnv_network_timing",
     "lane_assignment",
     "window_lane_cycles",
     "CnvUnit",

@@ -67,9 +67,6 @@ class PruningPoint:
     accuracy: float
     speedup: float
 
-    def thresholds_real(self, fmt: FixedPointFormat = DEFAULT_FORMAT) -> dict[str, float]:
-        return {name: raw_to_real(raw, fmt) for name, raw in self.raw_thresholds.items()}
-
 
 #: Evaluation callback: raw per-layer thresholds -> (accuracy, speedup).
 EvaluateFn = Callable[[dict[str, int]], tuple[float, float]]

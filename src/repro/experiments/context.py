@@ -470,16 +470,3 @@ class ExperimentContext:
             ).sum()
         )
         return agree / total
-
-    def activation_magnitudes(self, name: str) -> dict[str, np.ndarray]:
-        """Per-conv-layer |non-zero| input magnitudes of the unpruned run.
-
-        Used to place per-layer thresholds at a chosen percentile of each
-        layer's live activations (the single-knob Table II calibration).
-        """
-        fwd = self.forward(name, 0)
-        out: dict[str, np.ndarray] = {}
-        for layer, arr in fwd.conv_inputs.items():
-            live = np.abs(arr[arr != 0.0])
-            out[layer] = live
-        return out

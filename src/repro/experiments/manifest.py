@@ -201,15 +201,6 @@ class ArtifactCache:
         self.stores += 1
         obs.counter_add("artifact.stores")
 
-    def get_or_compute(self, kind: str, compute, **params):
-        """Load ``kind``; on a miss run ``compute()`` and persist it."""
-        cached = self.load(kind, **params)
-        if cached is not None:
-            return cached
-        payload = compute()
-        self.store(kind, payload, **params)
-        return payload
-
     # ------------------------------------------------------------------
     # accounting
     # ------------------------------------------------------------------

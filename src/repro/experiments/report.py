@@ -9,20 +9,9 @@ from dataclasses import dataclass, field
 __all__ = [
     "ExperimentResult",
     "format_table",
-    "geometric_mean",
     "results_to_json_doc",
     "diff_result_docs",
 ]
-
-
-def geometric_mean(values: list[float]) -> float:
-    """Geometric mean (speedup-style ratios aggregate geometrically)."""
-    if not values:
-        raise ValueError("empty values")
-    product = 1.0
-    for value in values:
-        product *= value
-    return product ** (1.0 / len(values))
 
 
 def format_table(rows: list[dict], columns: list[str] | None = None) -> str:

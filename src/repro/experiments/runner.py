@@ -289,6 +289,21 @@ def run_all(
     return results
 
 
+def _jobs(text: str) -> int:
+    jobs = int(text)
+    if jobs < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {jobs}")
+    return jobs
+
+
+def _unit_timeout(text: str) -> float:
+    """``--unit-timeout``, checked by the retry policy that holds it."""
+    try:
+        return RetryPolicy(unit_timeout=float(text)).unit_timeout
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--scale", choices=SCALES, default="reduced")
@@ -301,7 +316,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--networks", default=None, help="comma-separated subset")
     parser.add_argument("--no-cache", action="store_true")
     parser.add_argument(
-        "--jobs", type=int, default=1,
+        "--jobs", type=_jobs, default=1,
         help="worker processes for the (experiment x network) work units",
     )
     parser.add_argument(
@@ -310,7 +325,7 @@ def main(argv: list[str] | None = None) -> int:
         "with deterministic jitter between attempts)",
     )
     parser.add_argument(
-        "--unit-timeout", type=float, default=None, metavar="SECONDS",
+        "--unit-timeout", type=_unit_timeout, default=None, metavar="SECONDS",
         help="wall-clock budget per work unit before its worker is "
         "presumed hung and killed (--jobs > 1 only)",
     )

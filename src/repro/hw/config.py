@@ -105,13 +105,6 @@ class ArchConfig:
         return max(1, (self.brick_size - 1).bit_length())
 
     @property
-    def neurons_per_cycle(self) -> int:
-        """Neuron throughput of the whole node per cycle (all units share
-        the broadcast fetch block, so this is units x lanes events but only
-        ``neuron_lanes`` distinct neurons)."""
-        return self.neuron_lanes
-
-    @property
     def sb_bytes_total(self) -> float:
         return self.sb_mbytes_per_unit * self.num_units * 1024 * 1024
 

@@ -15,7 +15,6 @@ from repro.nn.calibration import (
     measure_zero_fractions,
 )
 from repro.nn.inference import ForwardResult, WeightStore, init_weights, run_forward
-from repro.nn.io import load_weights, save_weights
 from repro.nn.models import build_network, network_names
 from repro.nn.network import LayerKind, LayerSpec, Network
 from repro.nn.tensor import DEFAULT_FORMAT, FixedPointFormat, dequantize, quantize
@@ -31,8 +30,6 @@ __all__ = [
     "WeightStore",
     "init_weights",
     "run_forward",
-    "load_weights",
-    "save_weights",
     "build_network",
     "network_names",
     "LayerKind",

@@ -158,10 +158,10 @@ class IncrementalForwardEngine:
         ``nn.layer.<label>.<layer>`` histograms and per-layer spans carry
         it, so a report can say *which network's* conv2 dominated.
 
-    The engine intentionally does not support the quantization (``fmt``/
-    ``formats``) or calibration (``shift_fn``) hooks of ``run_forward`` —
-    none of the sweep paths use them, and calibration must observe raw
-    pre-activations pass by pass.
+    The engine intentionally does not support the quantization (``fmt``)
+    or calibration (``shift_fn``) hooks of ``run_forward`` — none of the
+    sweep paths use them, and calibration must observe raw pre-activations
+    pass by pass.
     """
 
     def __init__(

@@ -121,13 +121,6 @@ class ForwardResult:
     conv_inputs: dict[str, np.ndarray]
     logits: np.ndarray | None = None
 
-    def prob(self) -> np.ndarray | None:
-        """Softmax probabilities if the network ends in a softmax layer."""
-        for name in reversed(list(self.outputs)):
-            if name == "prob":
-                return self.outputs[name]
-        return None
-
 
 def slice_result(result: ForwardResult, index: int) -> ForwardResult:
     """Single-image view (no copy) of a batched :class:`ForwardResult`."""
@@ -250,7 +243,6 @@ def run_forward(
     fmt: FixedPointFormat | None = None,
     keep_outputs: bool = True,
     shift_fn=None,
-    formats: dict[str, FixedPointFormat] | None = None,
     collect_logits: bool = True,
 ) -> ForwardResult:
     """Run one image — or a stack of images — through the network.
@@ -282,11 +274,6 @@ def run_forward(
         calibration pass (:mod:`repro.nn.calibration`): when provided it
         overrides ``store.shifts`` for conv/FC layers and sees the raw
         (unshifted) pre-activation.
-    formats:
-        Optional *per-layer* fixed-point formats applied to the named
-        layers' outputs — the variable-precision value property the
-        paper's conclusion points at (Judd et al., "Stripes"); used by
-        :mod:`repro.extensions.precision`.
     collect_logits:
         If false, the caller reads only ``conv_inputs``: the pass records
         the input of the last conv layer and stops there, so that layer
@@ -298,12 +285,8 @@ def run_forward(
     """
     images = image_stack(network, image)
     thresholds = thresholds or {}
-    formats = formats or {}
 
-    def maybe_quantize(arr: np.ndarray, layer_name: str | None = None) -> np.ndarray:
-        layer_fmt = formats.get(layer_name) if layer_name else None
-        if layer_fmt is not None:
-            arr = dequantize(quantize(arr, layer_fmt), layer_fmt)
+    def maybe_quantize(arr: np.ndarray) -> np.ndarray:
         if fmt is None:
             return arr
         return dequantize(quantize(arr, fmt), fmt)
@@ -339,7 +322,7 @@ def run_forward(
                 if layer_logits is not None:
                     logits = layer_logits
 
-            out = maybe_quantize(out, layer.name)
+            out = maybe_quantize(out)
             outputs[layer.name] = out
             if obs.tracing_enabled():
                 layer_span.set(shape=str(out.shape))

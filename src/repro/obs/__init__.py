@@ -2,8 +2,8 @@
 
 Zero-dependency tracing + metrics, wired through every hot path:
 
-* :mod:`repro.obs.trace` — hierarchical :class:`Span`\\ s (context manager
-  and decorator, monotonic clocks, per-process buffers) exported as
+* :mod:`repro.obs.trace` — hierarchical :class:`Span`\\ s (a context
+  manager, monotonic clocks, per-process buffers) exported as
   Chrome trace-event JSON (``--trace trace.json``; open in Perfetto or
   ``chrome://tracing``).  Off by default; no-op spans cost one predicate.
 * :mod:`repro.obs.metrics` — a process-local :class:`MetricsRegistry`
@@ -50,7 +50,6 @@ from repro.obs.trace import (
     extend_events,
     reset_tracing,
     span,
-    traced,
     tracing_enabled,
     validate_chrome_trace,
     write_chrome_trace,
@@ -59,7 +58,6 @@ from repro.obs.trace import (
 __all__ = [
     "Span",
     "span",
-    "traced",
     "enable_tracing",
     "disable_tracing",
     "tracing_enabled",

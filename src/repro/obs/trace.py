@@ -2,7 +2,7 @@
 
 The tracing half of :mod:`repro.obs`: code brackets interesting work in
 *spans* — named intervals with a category and structured attributes —
-via the :func:`span` context manager or the :func:`traced` decorator.
+via the :func:`span` context manager.
 Durations come from ``time.perf_counter`` (monotonic; a span can never
 be negative even if the wall clock steps), while absolute timestamps are
 anchored to one wall-clock epoch per process so spans recorded in
@@ -29,7 +29,6 @@ construction: a child enters after and exits before its parent.
 
 from __future__ import annotations
 
-import functools
 import json
 import os
 import threading
@@ -41,7 +40,6 @@ from repro import settings
 __all__ = [
     "Span",
     "span",
-    "traced",
     "enable_tracing",
     "disable_tracing",
     "tracing_enabled",
@@ -163,25 +161,6 @@ def span(name: str, cat: str = "app", **attrs):
     if not tracing_enabled():
         return _NULL_SPAN
     return Span(name, cat, attrs)
-
-
-def traced(name: str | None = None, cat: str = "app"):
-    """Decorator form of :func:`span` (span name defaults to the function's
-    qualified name)."""
-
-    def decorate(func):
-        span_name = name if name is not None else func.__qualname__
-
-        @functools.wraps(func)
-        def wrapper(*args, **kwargs):
-            if not tracing_enabled():
-                return func(*args, **kwargs)
-            with Span(span_name, cat, {}):
-                return func(*args, **kwargs)
-
-        return wrapper
-
-    return decorate
 
 
 def enable_tracing() -> None:

@@ -68,13 +68,6 @@ class ArchPowerModel:
     def total_area(self) -> float:
         return sum(self.area_mm2.values())
 
-    @property
-    def total_static_power(self) -> float:
-        return sum(self.static_power_w.values())
-
-    def area_fraction(self, component: str) -> float:
-        return self.area_mm2[component] / self.total_area
-
 
 #: Baseline areas: SB-dominated, chosen so the CNV deltas published in
 #: Section V-C reproduce the paper's +4.49% total:

@@ -55,7 +55,14 @@ suite's zero-corrupted-responses gate).
 
 The integrity flags override this process's and every shard's settings
 (:mod:`repro.settings`); ``--shard-cache-mb`` and ``loadgen --trace``
-the shards' only.  Junk in any of them exits 2 before anything runs.
+the shards' only.
+
+Each flag that configures the service, the shard tier, the forward
+retry policy, telemetry or the settings is checked while the arguments
+are parsed, by the object that holds its value (:class:`ServeConfig`,
+:class:`ShardTierConfig`, :class:`RetryPolicy`, the SLO parser,
+:class:`~repro.settings.Settings`): junk exits 2, naming the flag,
+before anything is built or started.
 
 Exit status: 0 on success, 1 when the workload saw any ``error``
 responses, 2 on bad usage.
@@ -116,12 +123,35 @@ def _parse_kinds(text: str) -> list[str]:
     return kinds
 
 
-def _setting(name: str):
-    """An argparse type parsing a flag as the ``Settings`` field ``name``
-    (argparse turns its ValueError on junk into exit 2)."""
-    parse = lambda text: getattr(settings.Settings(**{name: text}), name)
-    parse.__name__ = name
-    return parse
+def _checked(parse):
+    """An argparse type running ``parse`` on a flag's text: its ValueError
+    becomes bad use of that flag (exit 2, before anything is built or
+    started)."""
+    def checked(text: str):
+        try:
+            return parse(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+
+    return checked
+
+
+def _field(owner, name: str, convert=str, off=None):
+    """An argparse type parsing a flag as field ``name`` of ``owner``, the
+    object that holds the value and checks it.  ``off``, the value that
+    turns the flag's feature off, is not ``owner``'s to check."""
+    def parse(text: str):
+        value = convert(text)
+        return value if value == off else getattr(owner(**{name: value}), name)
+
+    return _checked(parse)
+
+
+def _rate(text: str) -> float:
+    rate = float(text)
+    if not rate > 0:
+        raise ValueError(f"must be positive, got {text}")
+    return rate
 
 
 def _add_service_args(parser: argparse.ArgumentParser) -> None:
@@ -130,41 +160,52 @@ def _add_service_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--networks", type=_parse_networks,
                         default=["alex", "cnnS"], metavar="A,B,...")
     parser.add_argument("--seed", type=int, default=7)
-    parser.add_argument("--max-batch", type=int, default=8)
-    parser.add_argument("--linger-ms", type=float, default=2.0)
-    parser.add_argument("--queue-limit", type=int, default=64)
-    parser.add_argument("--workers", type=int, default=2)
+    parser.add_argument("--max-batch", default=8,
+                        type=_field(ServeConfig, "max_batch", int))
+    parser.add_argument("--linger-ms", default=2.0,
+                        type=_field(ServeConfig, "linger_ms", float))
+    parser.add_argument("--queue-limit", default=64,
+                        type=_field(ServeConfig, "queue_limit", int))
+    parser.add_argument("--workers", default=2,
+                        type=_field(ServeConfig, "workers", int))
     parser.add_argument("--deterministic", action="store_true",
                         help="single worker, fixed batch boundaries, no "
                         "linger clock (reproducible runs)")
     parser.add_argument("--no-cache", action="store_true",
                         help="skip the on-disk calibration artifact cache")
-    parser.add_argument("--shards", type=int, default=0, metavar="N",
+    parser.add_argument("--shards", default=0, metavar="N",
+                        type=_field(ShardTierConfig, "shards", int, off=0),
                         help="run N shard processes behind a consistent-"
                         "hash router (0 = single in-process service)")
-    parser.add_argument("--shard-window", type=int, default=8,
+    parser.add_argument("--shard-window", default=8,
+                        type=_field(ShardTierConfig, "window", int),
                         help="bounded in-flight requests per shard connection")
-    parser.add_argument("--shard-backlog", type=int, default=64,
+    parser.add_argument("--shard-backlog", default=64,
+                        type=_field(ShardTierConfig, "backlog", int),
                         help="waiting requests per shard before the router "
                         "sheds")
-    parser.add_argument("--shard-cache-mb", type=_setting("engine_cache_mb"),
-                        default=None, metavar="MB", help="per-shard "
+    parser.add_argument("--shard-cache-mb", default=None,
+                        type=_field(settings.Settings, "engine_cache_mb"),
+                        metavar="MB", help="per-shard "
                         "CNVLUTIN_ENGINE_CACHE_MB override")
     parser.add_argument("--start-method", default="fork",
                         choices=["fork", "spawn"],
                         help="multiprocessing start method for shards")
-    parser.add_argument("--integrity", type=_setting("integrity"),
-                        default=None, metavar="MODE",
+    parser.add_argument("--integrity", default=None,
+                        type=_field(settings.Settings, "integrity"),
+                        metavar="MODE",
                         help="CNVLUTIN_INTEGRITY mode: off, always, or "
                         "sample:P (ABFT kernel checksums + arena CRC)")
-    parser.add_argument("--integrity-recheck-s",
-                        type=_setting("integrity_recheck_s"), default=None,
+    parser.add_argument("--integrity-recheck-s", default=None,
+                        type=_field(settings.Settings, "integrity_recheck_s"),
                         metavar="S", help="seconds between shard arena CRC "
                         "rechecks (0 = before every reply)")
-    parser.add_argument("--canary-interval", type=float, default=None,
+    parser.add_argument("--canary-interval", default=None,
+                        type=_field(ShardTierConfig, "canary_interval_s", float),
                         metavar="S", help="seconds between router canary "
                         "sweeps (golden-request probes; sharded only)")
-    parser.add_argument("--forward-attempts", type=int, default=None,
+    parser.add_argument("--forward-attempts", default=None,
+                        type=_field(RetryPolicy, "max_attempts", int),
                         metavar="N", help="router forward retry budget "
                         "(raise to ride out shard quarantine/respawn)")
     parser.add_argument("--forward-backoff", type=float, default=None,
@@ -175,12 +216,14 @@ def _add_service_args(parser: argparse.ArgumentParser) -> None:
                         "(0 picks a free port)")
     parser.add_argument("--admin-host", default="127.0.0.1",
                         help="admin endpoint bind address (default loopback)")
-    parser.add_argument("--telemetry-interval", type=float, default=1.0,
+    parser.add_argument("--telemetry-interval", default=1.0,
+                        type=_field(ShardTierConfig, "telemetry_interval_s",
+                                    float, off=0.0),
                         metavar="S", help="seconds between local telemetry "
                         "samples and the router's pulls of each shard's "
                         "metric delta (0 disables live telemetry)")
-    parser.add_argument("--slo", default=None, metavar="SPEC",
-                        help="SLO overrides, comma-separated: "
+    parser.add_argument("--slo", type=_checked(parse_slo_spec), default=None,
+                        metavar="SPEC", help="SLO overrides, comma-separated: "
                         "latency_p99_ms=<ms>,error_rate=<frac>,"
                         "shed_rate=<frac>")
 
@@ -246,37 +289,41 @@ def _build_service(args, trace: bool = False):
     return ShardedService(config, tier=tier, policy=policy)
 
 
-async def _start_telemetry(service, args):
-    """(controller, admin) for a started service, per the CLI flags.
+def _telemetry_controller(service, args) -> TelemetryController | None:
+    """The service's telemetry controller per the CLI flags, not started.
 
     The controller samples the local registry on ``--telemetry-interval``
     and — for the sharded tier — shares the router's
     :class:`~repro.obs.timeseries.TelemetryPlane`, so pulled shard
-    deltas and local samples land in one windowed view.  The admin
-    server only exists under ``--admin-port``.
+    deltas and local samples land in one windowed view.
     """
     if not args.telemetry_interval and args.admin_port is None:
-        return None, None
+        return None
     plane = getattr(service, "telemetry", None)
-    controller = TelemetryController(
+    return TelemetryController(
         plane=plane,
         interval_s=args.telemetry_interval or 1.0,
         source="router" if plane is not None else "service",
-        objectives=parse_slo_spec(args.slo) if args.slo else None,
+        objectives=args.slo,
     )
+
+
+async def _start_telemetry(controller, args):
+    """Start ``controller`` (if any) for a started service; returns the
+    admin server, which only exists under ``--admin-port``."""
+    if controller is None:
+        return None
     controller.start()
-    admin = None
-    if args.admin_port is not None:
-        admin = AdminServer(
-            controller, host=args.admin_host, port=args.admin_port
-        )
-        await admin.start()
-        print(
-            f"repro-serve admin on http://{args.admin_host}:{admin.port} "
-            f"(/stats /metrics /slo /healthz)",
-            flush=True,
-        )
-    return controller, admin
+    if args.admin_port is None:
+        return None
+    admin = AdminServer(controller, host=args.admin_host, port=args.admin_port)
+    await admin.start()
+    print(
+        f"repro-serve admin on http://{args.admin_host}:{admin.port} "
+        f"(/stats /metrics /slo /healthz)",
+        flush=True,
+    )
+    return admin
 
 
 async def _stop_telemetry(controller, admin) -> None:
@@ -291,8 +338,10 @@ async def _stop_telemetry(controller, admin) -> None:
 
 async def _serve_async(args) -> int:
     service = _build_service(args)
+    controller = _telemetry_controller(service, args)
     await service.start()
-    controller, admin = await _start_telemetry(service, args)
+    admin = server = None
+    waiters: list[asyncio.Task] = []
     served = 0
     done = asyncio.Event()
     stopping = asyncio.Event()
@@ -346,15 +395,16 @@ async def _serve_async(args) -> int:
             connections.discard(writer)
             writer.close()
 
-    server = await asyncio.start_server(_handle, args.host, args.port)
-    ports = [sock.getsockname()[1] for sock in server.sockets]
-    print(f"repro-serve listening on {args.host}:{ports[0]} "
-          f"(scale={args.scale}, networks={','.join(args.networks)})",
-          flush=True)
-    waiters = [asyncio.create_task(stopping.wait())]
-    if args.max_requests:
-        waiters.append(asyncio.create_task(done.wait()))
     try:
+        admin = await _start_telemetry(controller, args)
+        server = await asyncio.start_server(_handle, args.host, args.port)
+        ports = [sock.getsockname()[1] for sock in server.sockets]
+        print(f"repro-serve listening on {args.host}:{ports[0]} "
+              f"(scale={args.scale}, networks={','.join(args.networks)})",
+              flush=True)
+        waiters.append(asyncio.create_task(stopping.wait()))
+        if args.max_requests:
+            waiters.append(asyncio.create_task(done.wait()))
         await asyncio.wait(waiters, return_when=asyncio.FIRST_COMPLETED)
     except asyncio.CancelledError:  # pragma: no cover - hard loop teardown
         pass
@@ -365,8 +415,9 @@ async def _serve_async(args) -> int:
         # request finish and flush its response, then stop the service
         # (which flushes the micro-batcher) — a SIGTERM'd rolling
         # restart loses no accepted work and exits 0.
-        server.close()
-        await server.wait_closed()
+        if server is not None:
+            server.close()
+            await server.wait_closed()
         while inflight:
             await asyncio.gather(*list(inflight), return_exceptions=True)
         for writer in list(connections):
@@ -406,9 +457,11 @@ async def _loadgen_async(args) -> int:
             seed=args.seed,
             deadline_ms=args.deadline_ms,
         )
+    controller = _telemetry_controller(service, args)
     await service.start()
-    controller, admin = await _start_telemetry(service, args)
+    admin = None
     try:
+        admin = await _start_telemetry(controller, args)
         result = await run_load(
             service, requests, rate=args.rate, seed=args.seed
         )
@@ -582,7 +635,8 @@ def main(argv: list[str] | None = None) -> int:
 
     loadgen = sub.add_parser("loadgen", help="drive an in-process service")
     loadgen.add_argument("--requests", type=int, default=50)
-    loadgen.add_argument("--rate", type=float, default=None, metavar="RPS",
+    loadgen.add_argument("--rate", type=_checked(_rate), default=None,
+                         metavar="RPS",
                          help="open-loop offered load; omit for closed-loop "
                          "submission (deterministic with --deterministic)")
     loadgen.add_argument("--kinds", type=_parse_kinds, default=None,

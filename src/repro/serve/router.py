@@ -130,6 +130,10 @@ class ShardTierConfig:
             raise ValueError("window must be >= 1")
         if self.backlog < 0:
             raise ValueError("backlog must be >= 0")
+        for name in ("canary_interval_s", "telemetry_interval_s"):
+            interval = getattr(self, name)
+            if interval is not None and not interval > 0:
+                raise ValueError(f"{name} must be > 0 (or None)")
 
 
 class _ShardClient:

@@ -77,6 +77,10 @@ class ServeConfig:
     use_cache: bool = True
 
     def __post_init__(self) -> None:
+        if self.max_batch < 1:
+            raise ValueError("max_batch must be >= 1")
+        if not self.linger_ms >= 0:
+            raise ValueError("linger_ms must be >= 0")
         if self.queue_limit < 1:
             raise ValueError("queue_limit must be >= 1")
         if self.workers < 1:

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.baseline.timing import baseline_conv_timing, baseline_network_timing
+from repro.backends import get_backend
+from repro.baseline.timing import baseline_conv_timing
 from repro.baseline.workload import ConvWork, ceil_div, window_sums
 from repro.hw.config import PAPER_CONFIG, small_config
 from repro.nn.activations import sparse_activations
@@ -160,7 +161,8 @@ class TestBaselineNetwork:
         store = init_weights(net, rng)
         image = natural_images(net.input_shape, 1, seed=0)[0]
         fwd = run_forward(net, store, image)
-        timing = baseline_network_timing(net, fwd.conv_inputs, PAPER_CONFIG)
+        baseline = get_backend("baseline")
+        timing = baseline.network_timing(net, fwd.conv_inputs, PAPER_CONFIG)
         conv_names = {l.name for l in timing.layers if l.kind == "conv"}
         assert conv_names == {l.name for l in net.conv_layers}
         assert timing.total_cycles > 0
@@ -171,7 +173,7 @@ class TestBaselineNetwork:
 
         net = build_network("alex", input_size=67)
         with pytest.raises(KeyError):
-            baseline_network_timing(net, {}, PAPER_CONFIG)
+            get_backend("baseline").network_timing(net, {}, PAPER_CONFIG)
 
 
 class TestConvWorkGeometry:

@@ -5,11 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.backends import get_backend
 from repro.baseline.accelerator import DaDianNaoNode
 from repro.baseline.timing import baseline_conv_timing
 from repro.baseline.workload import ConvWork
 from repro.core.accelerator import CnvNode
-from repro.core.timing import cnv_conv_timing, cnv_network_timing
+from repro.core.timing import cnv_conv_timing
 from repro.hw.config import small_config
 from repro.nn.layers import conv2d
 
@@ -91,8 +92,9 @@ class TestThresholdMonotonicity:
         cfg = small_config()
         low = run_forward(net, store, image, thresholds={"conv2": threshold})
         high = run_forward(net, store, image, thresholds={"conv2": threshold * 2})
-        cycles_low = cnv_network_timing(net, low.conv_inputs, cfg).total_cycles
-        cycles_high = cnv_network_timing(net, high.conv_inputs, cfg).total_cycles
+        cnv = get_backend("cnv")
+        cycles_low = cnv.network_timing(net, low.conv_inputs, cfg).total_cycles
+        cycles_high = cnv.network_timing(net, high.conv_inputs, cfg).total_cycles
         assert cycles_high <= cycles_low
 
 

@@ -20,7 +20,7 @@ from repro.experiments import (
 from repro.experiments.config import PaperConfig
 from repro.experiments.context import ExperimentContext, thresholds_key
 from repro.experiments.manifest import ArtifactCache
-from repro.experiments.report import ExperimentResult, format_table, geometric_mean
+from repro.experiments.report import ExperimentResult, format_table
 from repro.experiments.runner import EXPERIMENTS, run_all
 from repro.experiments.thresholds import (
     lossless_thresholds,
@@ -219,11 +219,6 @@ class TestReport:
 
     def test_empty_rows(self):
         assert format_table([]) == "(no rows)"
-
-    def test_geometric_mean(self):
-        assert geometric_mean([1.0, 4.0]) == pytest.approx(2.0)
-        with pytest.raises(ValueError):
-            geometric_mean([])
 
     def test_to_table_includes_notes(self):
         result = ExperimentResult(

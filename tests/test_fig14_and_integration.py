@@ -3,11 +3,10 @@
 import numpy as np
 import pytest
 
+from repro.backends import get_backend
 from repro.baseline.accelerator import DaDianNaoNode
-from repro.baseline.timing import baseline_network_timing
 from repro.baseline.workload import ConvWork
 from repro.core.accelerator import CnvNode, encode_layer_output
-from repro.core.timing import cnv_network_timing
 from repro.core.zfnaf import decode, encode
 from repro.experiments.config import PaperConfig
 from repro.experiments.context import ExperimentContext
@@ -117,8 +116,9 @@ class TestStructuralVsAnalyticOnRealNetwork:
 
         images, _ = ShapeDataset().batch(1, seed=43)
         fwd = run_forward(trained.network, trained.store, images[0])
-        base = baseline_network_timing(trained.network, fwd.conv_inputs, small_config())
-        cnv = cnv_network_timing(trained.network, fwd.conv_inputs, small_config())
+        net, cfg = trained.network, small_config()
+        base = get_backend("baseline").network_timing(net, fwd.conv_inputs, cfg)
+        cnv = get_backend("cnv").network_timing(net, fwd.conv_inputs, cfg)
         assert base.total_cycles > cnv.total_cycles
 
 

@@ -2,9 +2,9 @@
 
 import pytest
 
-from repro.baseline.gated import gated_conv_timing, gated_network_timing
-from repro.baseline.timing import baseline_conv_timing, baseline_network_timing
-from repro.core.timing import cnv_network_timing
+from repro.backends import get_backend
+from repro.baseline.gated import gated_conv_timing
+from repro.baseline.timing import baseline_conv_timing
 from repro.hw.config import small_config
 from repro.power.energy import energy_report
 
@@ -62,9 +62,9 @@ class TestGatedNetwork:
         energy only — the paper's Section VI positioning."""
         net, fwd = run
         cfg = small_config()
-        base = baseline_network_timing(net, fwd.conv_inputs, cfg)
-        gated = gated_network_timing(net, fwd.conv_inputs, cfg)
-        cnv = cnv_network_timing(net, fwd.conv_inputs, cfg)
+        base = get_backend("baseline").network_timing(net, fwd.conv_inputs, cfg)
+        gated = get_backend("gated").network_timing(net, fwd.conv_inputs, cfg)
+        cnv = get_backend("cnv").network_timing(net, fwd.conv_inputs, cfg)
 
         assert gated.total_cycles == base.total_cycles
         assert cnv.total_cycles < base.total_cycles
@@ -80,5 +80,6 @@ class TestGatedNetwork:
 
     def test_architecture_label(self, run):
         net, fwd = run
-        timing = gated_network_timing(net, fwd.conv_inputs, small_config())
+        gated = get_backend("gated")
+        timing = gated.network_timing(net, fwd.conv_inputs, small_config())
         assert timing.architecture == "dadiannao-gated"

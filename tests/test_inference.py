@@ -45,7 +45,7 @@ class TestForward:
         store = init_weights(net, rng)
         result = run_forward(net, store, rng.uniform(size=net.input_shape))
         assert result.logits.shape == (5,)
-        assert result.prob().sum() == pytest.approx(1.0)
+        assert result.outputs["prob"].sum() == pytest.approx(1.0)
 
     def test_relu_applied_to_fused_layers(self, rng):
         net = tiny_net()

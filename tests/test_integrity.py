@@ -180,6 +180,12 @@ class TestExplicitJunk:
         ("--integrity", "bogus"),
         ("--integrity-recheck-s", "-1"),
         ("--shard-cache-mb", "-5"),
+        ("--telemetry-interval", "-1"),
+        ("--slo", "bogus"),
+        ("--rate", "0"),
+        ("--max-batch", "0"),
+        ("--shards", "-1"),
+        ("--canary-interval", "0"),
     ])
     def test_serve_cli_flag_exits_2(self, capsys, flag, value):
         from repro.serve.cli import main
@@ -189,9 +195,29 @@ class TestExplicitJunk:
         assert excinfo.value.code == 2
         assert f"argument {flag}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag,value", [
+        ("--jobs", "-2"),
+        ("--unit-timeout", "-1"),
+    ])
+    def test_runner_cli_flag_exits_2(self, capsys, flag, value):
+        from repro.experiments.runner import main
+
+        with pytest.raises(SystemExit) as excinfo:
+            main(["--scale", "tiny", flag, value])
+        assert excinfo.value.code == 2
+        assert f"argument {flag}" in capsys.readouterr().err
+
     def test_shard_tier_settings_raise(self):
         with pytest.raises(ValueError, match="integrity"):
             ShardTierConfig(settings=Settings(integrity="bogus"))
+
+    @pytest.mark.parametrize("field,value", [
+        ("telemetry_interval_s", 0),
+        ("canary_interval_s", -1),
+    ])
+    def test_shard_tier_interval_must_be_positive(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            ShardTierConfig(**{field: value})
 
     def test_bad_fault_spec_names_the_variable_at_any_first_use(
         self, monkeypatch

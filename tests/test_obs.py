@@ -99,18 +99,6 @@ class TestSpans:
         (event,) = obs.drain_events()
         assert event["args"]["depth"] == 0
 
-    def test_traced_decorator(self):
-        @obs.traced(cat="test")
-        def helper():
-            return 41 + 1
-
-        assert helper() == 42  # disabled: plain call, no events
-        assert obs.event_count() == 0
-        obs.enable_tracing()
-        assert helper() == 42
-        (event,) = obs.drain_events()
-        assert event["name"].endswith("helper")
-
 
 class TestTraceEnv:
     """Until enable/disable_tracing() is called, the tracer follows the

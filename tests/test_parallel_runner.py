@@ -121,21 +121,6 @@ class TestArtifactCache:
             "quarantined": 0,
         }
 
-    def test_get_or_compute(self, cache):
-        calls = []
-
-        def compute():
-            calls.append(1)
-            return {"v": 2.5}
-
-        assert cache.get_or_compute("sparsity", compute, network="alex") == {
-            "v": 2.5
-        }
-        assert cache.get_or_compute("sparsity", compute, network="alex") == {
-            "v": 2.5
-        }
-        assert len(calls) == 1
-
     def test_corrupt_object_is_a_miss(self, cache):
         cache.store("calib", {"x": 1}, network="alex")
         cache.path("calib", network="alex").write_text("{truncated")

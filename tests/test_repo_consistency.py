@@ -1,14 +1,13 @@
 """Repository-consistency tests: docs, registry, and accounting identities."""
 
+import ast
 import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from repro.backends import backend_names
-from repro.baseline.timing import baseline_network_timing
-from repro.core.timing import cnv_network_timing
+from repro.backends import backend_names, get_backend
 from repro.experiments.runner import EXPERIMENTS
 from repro.hw.config import small_config
 from repro.settings import ENV
@@ -101,6 +100,54 @@ class TestLayerGraph:
         assert offenders == []
 
 
+def _imported_modules(tree: ast.Module, module: str, is_package: bool):
+    """Every module an ``import``/``from`` statement anywhere in ``tree``
+    (function bodies included) may load, parent packages included."""
+    package = module if is_package else module.rpartition(".")[0]
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            if node.level:
+                anchor = package.rsplit(".", node.level - 1)[0]
+                base = f"{anchor}.{base}" if base else anchor
+            names = [base] + [f"{base}.{alias.name}" for alias in node.names]
+        else:
+            continue
+        for name in names:
+            parts = name.split(".")
+            yield from (".".join(parts[:i]) for i in range(1, len(parts) + 1))
+
+
+class TestReachability:
+    def test_every_module_is_reachable_from_a_console_script(self):
+        """The static import graph of the ``[project.scripts]`` modules
+        covers every module under ``src/repro``: no package survives that
+        only its own tests, benchmarks or examples reach."""
+        src = REPO / "src"
+        files = {}
+        for path in sorted((src / "repro").rglob("*.py")):
+            parts = path.relative_to(src).with_suffix("").parts
+            is_package = parts[-1] == "__init__"
+            name = ".".join(parts[:-1] if is_package else parts)
+            files[name] = (path, is_package)
+        scripts = (REPO / "pyproject.toml").read_text()
+        scripts = scripts.split("[project.scripts]\n", 1)[1].split("\n[", 1)[0]
+        roots = re.findall(r'^\S+ = "([\w.]+):\w+"$', scripts, re.MULTILINE)
+        assert roots and set(roots) <= set(files), roots
+        reached, todo = set(), list(roots)
+        while todo:
+            name = todo.pop()
+            if name in reached or name not in files:
+                continue
+            reached.add(name)
+            path, is_package = files[name]
+            tree = ast.parse(path.read_text(), filename=str(path))
+            todo.extend(_imported_modules(tree, name, is_package))
+        assert sorted(set(files) - reached) == []
+
+
 class TestContinuousIntegration:
     def test_backends_job_matrix_matches_registry(self):
         """The CI `backends` job runs one conformance job per registered
@@ -131,7 +178,7 @@ class TestAccountingIdentities:
     def test_baseline_identity(self, run):
         net, fwd = run
         cfg = small_config()
-        timing = baseline_network_timing(net, fwd.conv_inputs, cfg)
+        timing = get_backend("baseline").network_timing(net, fwd.conv_inputs, cfg)
         events = sum(timing.lane_events().values())
         assert events == pytest.approx(
             timing.total_cycles * cfg.num_units * cfg.neuron_lanes
@@ -140,7 +187,7 @@ class TestAccountingIdentities:
     def test_cnv_identity(self, run):
         net, fwd = run
         cfg = small_config()
-        timing = cnv_network_timing(net, fwd.conv_inputs, cfg)
+        timing = get_backend("cnv").network_timing(net, fwd.conv_inputs, cfg)
         events = sum(timing.lane_events().values())
         assert events == pytest.approx(
             timing.total_cycles * cfg.num_units * cfg.neuron_lanes
@@ -150,8 +197,9 @@ class TestAccountingIdentities:
         """'other' and 'conv1' events are architecture-independent."""
         net, fwd = run
         cfg = small_config()
-        base = baseline_network_timing(net, fwd.conv_inputs, cfg).lane_events()
-        cnv = cnv_network_timing(net, fwd.conv_inputs, cfg).lane_events()
+        base = get_backend("baseline").network_timing(net, fwd.conv_inputs, cfg)
+        cnv = get_backend("cnv").network_timing(net, fwd.conv_inputs, cfg)
+        base, cnv = base.lane_events(), cnv.lane_events()
         assert base["other"] == pytest.approx(cnv["other"])
         assert base["conv1"] == pytest.approx(cnv["conv1"])
 
@@ -160,6 +208,7 @@ class TestAccountingIdentities:
         removes the zero events and adds stalls."""
         net, fwd = run
         cfg = small_config()
-        base = baseline_network_timing(net, fwd.conv_inputs, cfg).lane_events()
-        cnv = cnv_network_timing(net, fwd.conv_inputs, cfg).lane_events()
+        base = get_backend("baseline").network_timing(net, fwd.conv_inputs, cfg)
+        cnv = get_backend("cnv").network_timing(net, fwd.conv_inputs, cfg)
+        base, cnv = base.lane_events(), cnv.lane_events()
         assert cnv["nonzero"] == pytest.approx(base["nonzero"])

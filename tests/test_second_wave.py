@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.baseline.workload import ConvWork
-from repro.cluster.timing import _node_work, _partition_filters
 from repro.core.encoder import Encoder
 from repro.core.validate import _crop_layer
 from repro.core.zfnaf import encode, encode_brick
@@ -16,25 +15,6 @@ from repro.power.energy import energy_report
 from repro.hw.counters import ActivityCounters
 
 from conftest import make_conv_work
-
-
-class TestClusterInternals:
-    def test_partition_even(self, rng):
-        work, _ = make_conv_work(rng, num_filters=8)
-        assert _partition_filters(work, 4) == [2, 2, 2, 2]
-
-    def test_partition_uneven_drops_empty_nodes(self, rng):
-        work, _ = make_conv_work(rng, num_filters=4)
-        shares = _partition_filters(work, 3)
-        assert sum(shares) == 4
-        assert all(s > 0 for s in shares)
-
-    def test_node_work_keeps_geometry(self, rng):
-        work, _ = make_conv_work(rng, in_depth=8, num_filters=8, groups=2)
-        node = _node_work(work, node_filters=2)
-        assert node.geometry["num_filters"] == 4  # 2 per group x 2 groups
-        assert node.geometry["in_depth"] == work.geometry["in_depth"]
-        assert node.num_groups == 2
 
 
 class TestChartRenderers:
