@@ -155,28 +155,37 @@ async def _drive(telemetry: bool, cache_dir: str, requests_count: int) -> dict:
     return summary
 
 
+def _reference(cache: str, requests_count: int) -> dict[str, str]:
+    """Canonical bytes of direct inference for every request.
+
+    Built after the first tier has run: starting it decided this
+    process's BLAS thread count (:mod:`repro.nn.blas`), and canonical
+    bytes are the bytes computed under that count.
+    """
+    repo = ModelRepository(_config().paper_config(cache))
+    reference = {}
+    for request in _requests(requests_count):
+        if request.id not in reference:
+            reference[request.id] = canonical_response_bytes(
+                direct_response(repo, request)
+            ).decode("utf-8")
+    return reference
+
+
 def run_bench(quick: bool = False) -> dict:
     requests_count = 36 if quick else BENCH_REQUESTS
     repeats = 1 if quick else REPEATS
     modes = (("off", False), ("on", True))
 
     with tempfile.TemporaryDirectory(prefix="cnvlutin-bench-telem-") as cache:
-        # Reference bytes from direct inference (also pre-warms the
-        # shared artifact cache so shard runs measure serving).
-        repo = ModelRepository(_config().paper_config(cache))
-        reference = {}
-        for request in _requests(requests_count):
-            if request.id not in reference:
-                reference[request.id] = canonical_response_bytes(
-                    direct_response(repo, request)
-                ).decode("utf-8")
-
+        reference: dict[str, str] = {}
         best: dict[str, dict] = {}
         for _ in range(repeats):
             for label, telemetry in modes:
                 summary = asyncio.run(
                     _drive(telemetry, cache, requests_count)
                 )
+                reference = reference or _reference(cache, requests_count)
                 mismatched = [
                     rid
                     for rid, canon in summary.pop("responses").items()

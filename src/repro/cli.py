@@ -16,13 +16,18 @@ Two subcommands:
 
 ``network``
     Calibrate paper networks and print their per-layer baseline/CNV
-    cycles; several networks compute in parallel with ``--jobs``::
+    cycles::
 
         cnvlutin-sim network alex --scale reduced
-        cnvlutin-sim network alex nin cnnS --jobs 3
+        cnvlutin-sim network alex nin cnnS
+
+    The timings persist in the artifact cache, so
+    ``cnvlutin-experiments --only fig9 --jobs N`` computes them on a
+    process pool for a later ``network`` run to read.
 
 Architecture knobs (``--units``, ``--lanes``, ``--filters-per-unit``,
-``--brick-size``, ``--free-empty-bricks``) apply to both subcommands.
+``--brick-size``, ``--free-empty-bricks``) apply to both subcommands;
+:class:`~repro.hw.config.ArchConfig` checks each value as it is parsed.
 """
 
 from __future__ import annotations
@@ -33,6 +38,7 @@ import time
 
 import numpy as np
 
+from repro.argtypes import field
 from repro.backends import DEFAULT_WEIGHT_SPARSITY, backend_names, get_backend, prune_weights
 from repro.baseline.workload import ConvWork
 from repro.experiments.report import format_table
@@ -54,10 +60,16 @@ def _arch_from_args(args) -> ArchConfig:
 
 
 def _add_arch_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--units", type=int, default=16)
-    parser.add_argument("--lanes", type=int, default=16)
-    parser.add_argument("--filters-per-unit", type=int, default=16)
-    parser.add_argument("--brick-size", type=int, default=16)
+    for flag, name in (
+        ("--units", "num_units"),
+        ("--lanes", "neuron_lanes"),
+        ("--filters-per-unit", "filters_per_unit"),
+        ("--brick-size", "brick_size"),
+    ):
+        parser.add_argument(
+            flag, type=field(ArchConfig, name, int),
+            default=getattr(PAPER_CONFIG, name),
+        )
     parser.add_argument("--free-empty-bricks", action="store_true")
 
 
@@ -172,18 +184,6 @@ def _run_network(args) -> int:
     arch = _arch_from_args(args)
     names = args.name
     config = PaperConfig(scale=args.scale, networks=list(names))
-    if args.jobs > 1 and len(names) > 1:
-        # Warm the shared artifact cache with one timing unit per network
-        # on a process pool; the serial printing loop below then only
-        # reads cached timing summaries.
-        from repro.experiments.parallel import WorkUnit, execute_units
-        from repro.reliability import RetryPolicy
-
-        policy = RetryPolicy(
-            max_attempts=args.retries + 1, unit_timeout=args.unit_timeout
-        )
-        units = [WorkUnit("timings", name, kind="timings") for name in names]
-        execute_units(config, units, jobs=args.jobs, arch=arch, policy=policy)
     ctx = ExperimentContext(config, arch=arch)
     for name in names:
         base = ctx.timing("baseline", name)
@@ -211,7 +211,7 @@ def _run_network(args) -> int:
         print(metrics_report({
             "version": 4,
             "scale": args.scale,
-            "jobs": args.jobs,
+            "jobs": 1,
             "wall_seconds": time.perf_counter() - start,
             "units": [],
             "cache": ctx.artifacts.counters(),
@@ -259,18 +259,6 @@ def main(argv: list[str] | None = None) -> int:
         choices=["alex", "google", "nin", "vgg19", "cnnM", "cnnS"],
     )
     network.add_argument("--scale", default="reduced", choices=["tiny", "reduced", "full"])
-    network.add_argument(
-        "--jobs", type=int, default=1,
-        help="worker processes to compute several networks' timings in parallel",
-    )
-    network.add_argument(
-        "--retries", type=int, default=2,
-        help="extra attempts per failed timing unit (with --jobs > 1)",
-    )
-    network.add_argument(
-        "--unit-timeout", type=float, default=None, metavar="SECONDS",
-        help="wall-clock budget per timing unit before its worker is killed",
-    )
     network.add_argument(
         "--trace", default=None, metavar="TRACE_JSON",
         help="record spans and write a Chrome trace-event file "

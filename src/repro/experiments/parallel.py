@@ -63,8 +63,6 @@ class WorkUnit:
     ``sweep``       the full threshold-sweep ladder for one network
                     (fig14's per-network half, superset of fig9/table2)
     ``smallcnn``    fig14's trained-small-CNN greedy search
-    ``timings``     baseline + CNV timing summaries only (used by
-                    ``cnvlutin-sim network --jobs``)
     """
 
     experiment: str
@@ -143,9 +141,6 @@ def run_unit(
                 sweep_deltas(ctx, unit.network)
             elif unit.kind == "smallcnn":
                 smallcnn_tradeoff(ctx)
-            elif unit.kind == "timings":
-                ctx.timing("baseline", unit.network)
-                ctx.timing("cnv", unit.network)
             else:
                 EXPERIMENTS[unit.experiment](ctx)
         except Exception as exc:  # recorded; the caller decides retry vs surface

@@ -44,6 +44,7 @@ import traceback
 from pathlib import Path
 
 from repro import obs
+from repro.argtypes import field
 from repro.experiments import (
     fig1_zero_fraction,
     fig9_backends,
@@ -296,14 +297,6 @@ def _jobs(text: str) -> int:
     return jobs
 
 
-def _unit_timeout(text: str) -> float:
-    """``--unit-timeout``, checked by the retry policy that holds it."""
-    try:
-        return RetryPolicy(unit_timeout=float(text)).unit_timeout
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--scale", choices=SCALES, default="reduced")
@@ -325,7 +318,8 @@ def main(argv: list[str] | None = None) -> int:
         "with deterministic jitter between attempts)",
     )
     parser.add_argument(
-        "--unit-timeout", type=_unit_timeout, default=None, metavar="SECONDS",
+        "--unit-timeout", type=field(RetryPolicy, "unit_timeout", float),
+        default=None, metavar="SECONDS",
         help="wall-clock budget per work unit before its worker is "
         "presumed hung and killed (--jobs > 1 only)",
     )

@@ -265,30 +265,70 @@ def _pool2d_windows(
     )
 
 
-def _pool2d(
-    activations: np.ndarray, kernel: int, stride: int, pad: int, reduce
-) -> np.ndarray:
+def _pool2d_input(
+    activations: np.ndarray, kernel: int, stride: int, pad: int
+) -> tuple[np.ndarray, int, int]:
+    """The padded input and the output size of a pooling layer."""
     # conv_output_size floors, so the last window ends inside the padded
     # input: ``(out - 1) * stride + kernel <= in + 2 * pad``.
     in_y, in_x = activations.shape[-2:]
     out_y = conv_output_size(in_y, kernel, stride, pad)
     out_x = conv_output_size(in_x, kernel, stride, pad)
-    padded = pad_input(activations, pad)
-    return reduce(_pool2d_windows(padded, kernel, stride, out_y, out_x), axis=-1)
+    return pad_input(activations, pad), out_y, out_x
+
+
+def _nan_or_negative_zero(activations: np.ndarray) -> bool:
+    """Whether ``activations`` holds a NaN or a ``-0.0``, in two
+    reductions and no temporary: a float minimum propagates any NaN, and
+    the bits of ``-0.0`` read as a signed integer are the smallest
+    integer of their width."""
+    if not activations.size:
+        return False
+    ints = activations.view(f"i{activations.itemsize}")
+    return bool(
+        np.isnan(activations.min()) or ints.min() == np.iinfo(ints.dtype).min
+    )
 
 
 def max_pool2d(
     activations: np.ndarray, kernel: int, stride: int, pad: int = 0
 ) -> np.ndarray:
-    """Max pooling over ``kernel x kernel`` windows of the last two axes."""
-    return _pool2d(activations, kernel, stride, pad, np.max)
+    """Max pooling over ``kernel x kernel`` windows of the last two axes.
+
+    A running ``np.maximum`` over the ``kernel**2`` strided views of the
+    padded input; no window is copied.  Its bytes equal ``np.max`` over
+    each copied window whenever every window's maximum has one byte
+    pattern, that is when the input holds no NaN and no ``-0.0``.
+    Which of ``±0``, or which NaN, numpy's maximum returns depends on
+    the SIMD path it takes, so such an input takes the copy path and
+    keeps its bytes.
+    """
+    padded, out_y, out_x = _pool2d_input(activations, kernel, stride, pad)
+    if _nan_or_negative_zero(activations):
+        return _pool2d_windows(padded, kernel, stride, out_y, out_x).max(axis=-1)
+    span_y = (out_y - 1) * stride + 1
+    span_x = (out_x - 1) * stride + 1
+    views = (
+        padded[..., fy:fy + span_y:stride, fx:fx + span_x:stride]
+        for fy in range(kernel)
+        for fx in range(kernel)
+    )
+    out = next(views).copy()
+    for view in views:
+        np.maximum(out, view, out=out)
+    return out
 
 
 def avg_pool2d(
     activations: np.ndarray, kernel: int, stride: int, pad: int = 0
 ) -> np.ndarray:
-    """Average pooling over ``kernel x kernel`` windows of the last two axes."""
-    return _pool2d(activations, kernel, stride, pad, np.mean)
+    """Average pooling over ``kernel x kernel`` windows of the last two axes.
+
+    Reduces each copied window, so the summation order is the window's
+    own ``(y, x)`` order (a running sum would change it).
+    """
+    padded, out_y, out_x = _pool2d_input(activations, kernel, stride, pad)
+    return _pool2d_windows(padded, kernel, stride, out_y, out_x).mean(axis=-1)
 
 
 def lrn(

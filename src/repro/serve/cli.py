@@ -78,6 +78,8 @@ import signal
 import sys
 
 from repro import settings
+from repro.argtypes import checked, field
+from repro.nn import blas
 from repro.nn.models import network_names
 from repro.obs.slo import parse_slo_spec
 from repro.reliability import RetryPolicy
@@ -123,30 +125,6 @@ def _parse_kinds(text: str) -> list[str]:
     return kinds
 
 
-def _checked(parse):
-    """An argparse type running ``parse`` on a flag's text: its ValueError
-    becomes bad use of that flag (exit 2, before anything is built or
-    started)."""
-    def checked(text: str):
-        try:
-            return parse(text)
-        except ValueError as exc:
-            raise argparse.ArgumentTypeError(str(exc)) from None
-
-    return checked
-
-
-def _field(owner, name: str, convert=str, off=None):
-    """An argparse type parsing a flag as field ``name`` of ``owner``, the
-    object that holds the value and checks it.  ``off``, the value that
-    turns the flag's feature off, is not ``owner``'s to check."""
-    def parse(text: str):
-        value = convert(text)
-        return value if value == off else getattr(owner(**{name: value}), name)
-
-    return _checked(parse)
-
-
 def _rate(text: str) -> float:
     rate = float(text)
     if not rate > 0:
@@ -161,51 +139,51 @@ def _add_service_args(parser: argparse.ArgumentParser) -> None:
                         default=["alex", "cnnS"], metavar="A,B,...")
     parser.add_argument("--seed", type=int, default=7)
     parser.add_argument("--max-batch", default=8,
-                        type=_field(ServeConfig, "max_batch", int))
+                        type=field(ServeConfig, "max_batch", int))
     parser.add_argument("--linger-ms", default=2.0,
-                        type=_field(ServeConfig, "linger_ms", float))
+                        type=field(ServeConfig, "linger_ms", float))
     parser.add_argument("--queue-limit", default=64,
-                        type=_field(ServeConfig, "queue_limit", int))
+                        type=field(ServeConfig, "queue_limit", int))
     parser.add_argument("--workers", default=2,
-                        type=_field(ServeConfig, "workers", int))
+                        type=field(ServeConfig, "workers", int))
     parser.add_argument("--deterministic", action="store_true",
                         help="single worker, fixed batch boundaries, no "
                         "linger clock (reproducible runs)")
     parser.add_argument("--no-cache", action="store_true",
                         help="skip the on-disk calibration artifact cache")
     parser.add_argument("--shards", default=0, metavar="N",
-                        type=_field(ShardTierConfig, "shards", int, off=0),
+                        type=field(ShardTierConfig, "shards", int, off=0),
                         help="run N shard processes behind a consistent-"
                         "hash router (0 = single in-process service)")
     parser.add_argument("--shard-window", default=8,
-                        type=_field(ShardTierConfig, "window", int),
+                        type=field(ShardTierConfig, "window", int),
                         help="bounded in-flight requests per shard connection")
     parser.add_argument("--shard-backlog", default=64,
-                        type=_field(ShardTierConfig, "backlog", int),
+                        type=field(ShardTierConfig, "backlog", int),
                         help="waiting requests per shard before the router "
                         "sheds")
     parser.add_argument("--shard-cache-mb", default=None,
-                        type=_field(settings.Settings, "engine_cache_mb"),
+                        type=field(settings.Settings, "engine_cache_mb"),
                         metavar="MB", help="per-shard "
                         "CNVLUTIN_ENGINE_CACHE_MB override")
     parser.add_argument("--start-method", default="fork",
                         choices=["fork", "spawn"],
                         help="multiprocessing start method for shards")
     parser.add_argument("--integrity", default=None,
-                        type=_field(settings.Settings, "integrity"),
+                        type=field(settings.Settings, "integrity"),
                         metavar="MODE",
                         help="CNVLUTIN_INTEGRITY mode: off, always, or "
                         "sample:P (ABFT kernel checksums + arena CRC)")
     parser.add_argument("--integrity-recheck-s", default=None,
-                        type=_field(settings.Settings, "integrity_recheck_s"),
+                        type=field(settings.Settings, "integrity_recheck_s"),
                         metavar="S", help="seconds between shard arena CRC "
                         "rechecks (0 = before every reply)")
     parser.add_argument("--canary-interval", default=None,
-                        type=_field(ShardTierConfig, "canary_interval_s", float),
+                        type=field(ShardTierConfig, "canary_interval_s", float),
                         metavar="S", help="seconds between router canary "
                         "sweeps (golden-request probes; sharded only)")
     parser.add_argument("--forward-attempts", default=None,
-                        type=_field(RetryPolicy, "max_attempts", int),
+                        type=field(RetryPolicy, "max_attempts", int),
                         metavar="N", help="router forward retry budget "
                         "(raise to ride out shard quarantine/respawn)")
     parser.add_argument("--forward-backoff", type=float, default=None,
@@ -217,12 +195,12 @@ def _add_service_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--admin-host", default="127.0.0.1",
                         help="admin endpoint bind address (default loopback)")
     parser.add_argument("--telemetry-interval", default=1.0,
-                        type=_field(ShardTierConfig, "telemetry_interval_s",
+                        type=field(ShardTierConfig, "telemetry_interval_s",
                                     float, off=0.0),
                         metavar="S", help="seconds between local telemetry "
                         "samples and the router's pulls of each shard's "
                         "metric delta (0 disables live telemetry)")
-    parser.add_argument("--slo", type=_checked(parse_slo_spec), default=None,
+    parser.add_argument("--slo", type=checked(parse_slo_spec), default=None,
                         metavar="SPEC", help="SLO overrides, comma-separated: "
                         "latency_p99_ms=<ms>,error_rate=<frac>,"
                         "shed_rate=<frac>")
@@ -491,6 +469,7 @@ async def _loadgen_async(args) -> int:
                 "linger_ms": config.linger_ms,
                 "queue_limit": config.queue_limit,
                 "workers": config.workers,
+                "blas_threads": blas.threads(),
                 "deterministic": config.deterministic,
                 "rate": args.rate,
                 "kinds": args.kinds or list(REQUEST_KINDS),
@@ -635,7 +614,7 @@ def main(argv: list[str] | None = None) -> int:
 
     loadgen = sub.add_parser("loadgen", help="drive an in-process service")
     loadgen.add_argument("--requests", type=int, default=50)
-    loadgen.add_argument("--rate", type=_checked(_rate), default=None,
+    loadgen.add_argument("--rate", type=checked(_rate), default=None,
                          metavar="RPS",
                          help="open-loop offered load; omit for closed-loop "
                          "submission (deterministic with --deterministic)")

@@ -74,6 +74,7 @@ from pathlib import Path
 
 from repro import obs, settings
 from repro.experiments.context import ExperimentContext
+from repro.nn import blas
 from repro.nn.shm import SharedWeightArena, sweep_stale_arenas
 from repro.obs.timeseries import TelemetryPlane
 from repro.reliability import (
@@ -292,6 +293,9 @@ class ShardedService:
         self._stopping = False
         self._quarantined: set[int] = set()
         self._golden: dict[str, bytes] = {}
+        #: This process's BLAS count, decided in start() and shipped in
+        #: every shard spec (respawns included).
+        self._blas_threads: int | None = None
         # Always present (it stays empty unless telemetry_interval_s is
         # set): the windowed aggregation of pulled shard deltas the
         # admin endpoint reads.
@@ -320,6 +324,7 @@ class ShardedService:
             manifest=self.arena.manifest,
             cache_dir=str(self.cache_dir) if self.cache_dir else None,
             settings=self.tier.settings or settings.current(),
+            blas_threads=self._blas_threads,
         )
 
     def _spawn(self, index: int) -> _ShardClient:
@@ -336,6 +341,9 @@ class ShardedService:
         if self.started:
             raise RuntimeError("service already started")
         sweep_stale_arenas()
+        # Every shard runs its own workers, so the tier's streams are
+        # shards x per-shard workers; decided before calibration below.
+        self._blas_threads = blas.decide(self.tier.shards * self.config.streams)
         stores = {
             name: self.repo.entry(name).store for name in self.repo.networks
         }

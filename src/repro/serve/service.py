@@ -23,6 +23,10 @@ clock, batches cut at exactly every ``max_batch``-th arrival, tail
 flushed only by :meth:`InferenceService.drain` — so tests can assert
 byte-identical outputs run after run.
 
+:meth:`InferenceService.start` shares this process's BLAS threads among
+its workers (:func:`repro.nn.blas.decide`), once per process, before
+anything computes.
+
 All latency arithmetic (enqueue stamps, deadlines, reported
 ``latency_ms``) uses ``time.perf_counter()`` — the *same* clock the
 :mod:`repro.obs` spans anchor to their wall epoch — never the event
@@ -51,6 +55,7 @@ from dataclasses import dataclass, field
 
 from repro import obs
 from repro.experiments.config import PaperConfig
+from repro.nn import blas
 from repro.reliability import FaultInjector, RetryPolicy
 from repro.serve.batcher import Batch, MicroBatcher
 from repro.serve.models import ModelRepository, execute_batch
@@ -85,6 +90,11 @@ class ServeConfig:
             raise ValueError("queue_limit must be >= 1")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
+
+    @property
+    def streams(self) -> int:
+        """Workers that compute at once: deterministic mode runs one."""
+        return 1 if self.deterministic else self.workers
 
     def paper_config(self, cache_dir=None) -> PaperConfig:
         kwargs = {
@@ -154,7 +164,10 @@ class InferenceService:
     async def start(self) -> None:
         if self._state is not None:
             raise RuntimeError("service already started")
-        workers = 1 if self.config.deterministic else self.config.workers
+        workers = self.config.streams
+        # Calibration is lazy, so nothing has computed yet: the one
+        # point where this process's BLAS count can still be decided.
+        blas.decide(workers)
         state = _ServiceState(
             queue=asyncio.Queue(maxsize=self.config.queue_limit),
             batches=asyncio.Queue(maxsize=max(2, 2 * workers)),

@@ -11,7 +11,9 @@ slice hot — N shards give the serving tier N× the aggregate prefix-cache
 capacity without multiplying the per-process ``engine_cache_mb``
 budget.  The spec carries the shard's whole
 :class:`~repro.settings.Settings`, so forked and spawned shards run
-under the same knobs whatever environment they inherit.
+under the same knobs whatever environment they inherit, and the
+router's BLAS thread count (:mod:`repro.nn.blas`), so every shard
+computes the router's canonical bytes.
 
 Weights are **not** copied per shard: the spec carries the router's
 shared-memory arena manifest, and the shard attaches read-only zero-copy
@@ -27,7 +29,8 @@ Wire protocol (one JSON object per line, each direction)::
                                             the router treats it like a
                                             dead connection and fails
                                             over to a replica
-    → {"rid": 8, "op": "ping"}              ← {"rid": 8, "ok": true, ...}
+    → {"rid": 8, "op": "ping"}              ← {"rid": 8, "ok": true,
+                                               "blas_threads": n, ...}
     → {"rid": 9, "op": "obs"}               ← {"rid": 9, "metrics": ...,
                                                "events": [...]}
     → {"rid": 10, "op": "shutdown"}         ← {"rid": 10, "ok": true}
@@ -72,7 +75,7 @@ from pathlib import Path
 
 from repro import obs, settings
 from repro.experiments.context import ExperimentContext
-from repro.nn import sparse
+from repro.nn import blas, sparse
 from repro.nn.engine import attach_shared_weights, attached_arenas
 from repro.reliability import FaultInjector, InjectedFault
 from repro.serve.models import ModelRepository
@@ -97,17 +100,24 @@ class ShardSpec:
     socket_path: str
     config: ServeConfig
     settings: settings.Settings
+    #: The router's BLAS thread count (None: the router found no OpenBLAS).
+    blas_threads: int | None
     manifest: dict = field(default_factory=dict)
     cache_dir: str | None = None
 
 
 def run_shard(spec: ShardSpec) -> None:
-    """Process entry point: install the spec's settings, then serve.
+    """Process entry point: install the spec's settings and the router's
+    BLAS thread count, then serve.
 
-    The kernel fault injector is rebuilt from them with fresh counters,
-    so a forked shard does not count on the router's copy.
+    The kernel fault injector is rebuilt from the settings with fresh
+    counters, so a forked shard does not count on the router's copy.
+    The count is installed before anything is built, so the service's
+    own ``blas.decide`` keeps it and the shard computes the router's
+    canonical bytes.
     """
     settings.install(spec.settings)
+    blas.install(spec.blas_threads)
     sparse.rebuild_injector()
     if spec.settings.trace:
         obs.enable_tracing()
@@ -265,7 +275,8 @@ async def _shard_main(spec: ShardSpec) -> None:
         async def control(rid, op: str) -> None:
             if op == "ping":
                 await reply({"rid": rid, "ok": True, "pid": os.getpid(),
-                             "shard": spec.index})
+                             "shard": spec.index,
+                             "blas_threads": blas.threads()})
             elif op == "obs":
                 await reply({
                     "rid": rid,

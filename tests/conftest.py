@@ -11,6 +11,7 @@ from hypothesis import settings
 import repro.settings
 from repro.baseline.workload import ConvWork
 from repro.hw.config import ArchConfig, small_config
+from repro.nn import blas
 from repro.nn.activations import sparse_activations
 
 # Seeded hypothesis profiles: `derandomize` pins every example choice to
@@ -37,6 +38,18 @@ def fresh_process_settings():
     repro.settings.reload()
     yield
     repro.settings.reload()
+
+
+@pytest.fixture
+def fresh_blas(monkeypatch):
+    """No BLAS thread decision in this process yet, so the front end the
+    test starts makes one.  Yields the count before the test (the
+    ceiling that decision divides) and puts it back after, since nothing
+    in the program restores it."""
+    before = blas.threads()
+    monkeypatch.setattr(blas, "_decided", None)
+    yield before
+    blas.install(before)
 
 
 @pytest.fixture

@@ -98,3 +98,39 @@ class TestNetworkCommand:
     def test_unknown_network_rejected(self):
         with pytest.raises(SystemExit):
             main(["network", "resnet50"])
+
+
+class TestFlagValidation:
+    """Junk flag values exit 2 at argument parsing, naming the flag,
+    before anything is built or printed."""
+
+    @pytest.mark.parametrize(
+        "command", [["layer"], ["network", "alex", "--scale", "tiny"]],
+        ids=["layer", "network"],
+    )
+    @pytest.mark.parametrize("flag,value", [
+        ("--units", "-1"),
+        ("--lanes", "0"),
+        ("--filters-per-unit", "0"),
+        ("--brick-size", "0"),
+    ])
+    def test_junk_arch_value_exits_2(self, command, flag, value, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main([*command, flag, value])
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"argument {flag}: " in captured.err
+        assert "must be positive" in captured.err
+
+    def test_network_has_no_process_pool_flags(self, capsys):
+        # Two networks: the pool branch only ever ran for more than one.
+        with pytest.raises(SystemExit) as excinfo:
+            main([
+                "network", "alex", "cnnS", "--scale", "tiny",
+                "--jobs", "2", "--unit-timeout", "-1",
+            ])
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "unrecognized arguments: --jobs 2 --unit-timeout -1" in captured.err

@@ -170,6 +170,31 @@ def _lrn_reference(a, local_size=5, alpha=1e-4, beta=0.75, k=1.0):
     return a / (k + (alpha / local_size) * sums) ** beta
 
 
+def _max_over_copied_windows(a, kernel, stride, pad):
+    """``np.max`` over every window copied out in ``(y, x)`` order: the
+    pooling that copied its windows before reducing them."""
+    padded = F.pad_input(a, pad)
+    windows = np.lib.stride_tricks.sliding_window_view(
+        padded, (kernel, kernel), axis=(-2, -1)
+    )[..., ::stride, ::stride, :, :]
+    flat = np.ascontiguousarray(windows).reshape(
+        *windows.shape[:-2], kernel * kernel
+    )
+    return np.max(flat, axis=-1)
+
+
+#: Values sprinkled into max-pooling inputs.  numpy leaves which of
+#: ``±0`` (and which NaN) a maximum returns to its SIMD path; "+0.0"
+#: holds neither, so it exercises the running maximum itself.
+POOL_SPECIALS = {
+    "-0.0": [-0.0],
+    "nan": [np.nan],
+    "-nan": [-np.nan],
+    "mixed": [-0.0, np.nan, -np.nan, np.inf, -np.inf],
+    "+0.0": [0.0, np.inf, -np.inf],
+}
+
+
 pool_cases = st.tuples(
     st.integers(1, 5),  # depth
     st.integers(3, 9),  # in_y
@@ -206,6 +231,32 @@ class TestPoolingVectorization:
             a, kernel, stride, pad, lambda w: w.reshape(w.shape[0], -1).mean(axis=1)
         )
         assert np.array_equal(F.avg_pool2d(a, kernel, stride, pad), expected)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        pool_cases,
+        st.integers(0, 2**32 - 1),
+        st.sampled_from(sorted(POOL_SPECIALS)),
+        st.sampled_from(["float32", "float64"]),
+    )
+    def test_max_pool_special_values_keep_copied_window_bytes(
+        self, case, seed, special, dtype
+    ):
+        """-0.0 and NaN (either sign) among ReLU-like zeros: the bytes of
+        ``np.max`` over the copied windows, byte for byte."""
+        depth, in_y, in_x, kernel, stride, pad = case
+        if in_y - kernel + 2 * pad < 0 or in_x - kernel + 2 * pad < 0:
+            return
+        rng = np.random.default_rng(seed)
+        a = rng.normal(size=(2, depth, in_y, in_x)).astype(dtype)
+        a[rng.random(a.shape) < 0.4] = 0.0
+        picks = rng.random(a.shape) < 0.3
+        values = np.array(POOL_SPECIALS[special], dtype=dtype)
+        a[picks] = rng.choice(values, size=int(picks.sum()))
+        got = F.max_pool2d(a, kernel, stride, pad)
+        want = _max_over_copied_windows(a, kernel, stride, pad)
+        assert (got.shape, got.dtype) == (want.shape, want.dtype)
+        assert got.tobytes() == want.tobytes()
 
     def test_batched_pool_matches_per_image(self, rng):
         a = rng.normal(size=(3, 4, 6, 6))

@@ -178,7 +178,7 @@ class TestUnitExecution:
     def test_failed_unit_records_error_instead_of_raising(self, tmp_path):
         config = tiny_config(tmp_path, networks=["alex"])
         ctx = ExperimentContext(config)
-        record = run_unit(ctx, WorkUnit("fig9", "nosuchnet", kind="timings"))
+        record = run_unit(ctx, WorkUnit("fig9", "nosuchnet", kind="sweep"))
         assert record.status == "error"
         assert record.error
         assert record.unit == "fig9:nosuchnet"

@@ -356,7 +356,7 @@ class TestUnitRetries:
     def test_traceback_surfaces_in_profile_and_manifest(self, tmp_path):
         config = tiny_config(tmp_path, networks=["alex"])
         ctx = ExperimentContext(config)
-        record = run_unit(ctx, WorkUnit("fig9", "nosuchnet", kind="timings"))
+        record = run_unit(ctx, WorkUnit("fig9", "nosuchnet", kind="sweep"))
         assert record.status == "error"
         assert record.traceback  # satellite: not just the one-line repr
         assert "Traceback" in record.traceback

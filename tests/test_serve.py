@@ -25,6 +25,7 @@ from types import SimpleNamespace
 import pytest
 
 from repro import obs
+from repro.nn import blas
 from repro.reliability import FaultInjector, RetryPolicy
 from repro.reliability.faults import parse_faults
 from repro.serve import (
@@ -129,6 +130,40 @@ class TestDifferential:
         result = drive(repo, det_config(max_batch=7), workload[:28])
         sizes = {resp.batch_size for resp in result.responses.values()}
         assert max(sizes) == 7
+
+
+class TestBlasBudget:
+    """serve-fresh's order: a concurrent service serves and stops, and
+    only then is the reference built, in the same process."""
+
+    def test_reference_after_stop_matches_every_response(
+        self, fresh_blas, tmp_path
+    ):
+        requests = build_requests(24, networks=list(SERVE_NETWORKS), seed=5)
+
+        async def _go():
+            service = InferenceService(
+                ServeConfig(workers=2, queue_limit=256),
+                cache_dir=tmp_path / "service",
+            )
+            await service.start()
+            try:
+                return await run_load(service, requests)
+            finally:
+                await service.stop()
+
+        result = asyncio.run(_go())
+        if fresh_blas is not None:
+            assert blas.threads() == max(1, fresh_blas // 2)
+        reference = ModelRepository(
+            ServeConfig().paper_config(cache_dir=tmp_path / "reference")
+        )
+        for request in requests:
+            response = result.responses[request.id]
+            assert response.status == "ok", response.payload
+            assert canonical_response_bytes(response) == (
+                canonical_response_bytes(direct_response(reference, request))
+            ), request.id
 
 
 class TestSeededShortPass:

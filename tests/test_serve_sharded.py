@@ -27,6 +27,7 @@ import pytest
 
 import repro.settings
 from repro import obs
+from repro.nn import blas
 from repro.nn.inference import WeightStore
 from repro.nn.shm import SharedWeightArena, process_pss_kb
 from repro.reliability import FaultInjector, RespawnPolicy, RetryPolicy
@@ -426,6 +427,44 @@ class TestSpawnStartMethod:
             assert canonical_response_bytes(response) == (
                 canonical_response_bytes(reference)
             )
+
+
+class TestBlasBudget:
+    """The router decides the tier's BLAS count before it calibrates, and
+    every shard, forked or spawned, computes under that count."""
+
+    @pytest.mark.parametrize(
+        "deterministic", [True, False], ids=["deterministic", "concurrent"]
+    )
+    @pytest.mark.parametrize("start_method", ["fork", "spawn"])
+    def test_every_shard_reports_the_router_count(
+        self, cache_dir, fresh_blas, start_method, deterministic
+    ):
+        async def _go():
+            service = ShardedService(
+                det_config(networks=("alex",), deterministic=deterministic),
+                tier=ShardTierConfig(
+                    shards=2, start_method=start_method, connect_timeout_s=60
+                ),
+                cache_dir=cache_dir,
+            )
+            await service.start()
+            try:
+                return [
+                    (await client.call({"op": "ping"}, timeout_s=30))[
+                        "blas_threads"
+                    ]
+                    for client in service._clients.values()
+                ]
+            finally:
+                await service.stop()
+
+        shard_counts = asyncio.run(_go())
+        router = blas.threads()
+        if fresh_blas is not None:
+            workers = 1 if deterministic else 2
+            assert router == max(1, fresh_blas // (2 * workers))
+        assert shard_counts == [router, router]
 
 
 class TestShardClient:
