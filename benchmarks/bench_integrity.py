@@ -68,7 +68,6 @@ def _config() -> ServeConfig:
         scale="tiny",
         networks=BENCH_NETWORKS,
         max_batch=4,
-        linger_ms=2.0,
         queue_limit=1024,
         workers=1,
         use_cache=True,

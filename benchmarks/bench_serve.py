@@ -59,7 +59,6 @@ def _config(max_batch: int, queue_limit: int = 256) -> ServeConfig:
         scale="tiny",
         networks=BENCH_NETWORKS,
         max_batch=max_batch,
-        linger_ms=5.0,
         queue_limit=queue_limit,
         workers=1,
         use_cache=False,

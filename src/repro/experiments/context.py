@@ -14,6 +14,7 @@ artifact instead).
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -125,7 +126,14 @@ class NetworkContext:
 
 
 class ExperimentContext:
-    """Lazily builds and caches everything the experiment modules share."""
+    """Lazily builds and caches everything the experiment modules share.
+
+    The serving workers call it from several threads at once, so the
+    builds that must yield one shared object — the calibrated network,
+    its engine, its pruned weights — each run once per key under a lock
+    (:meth:`_build_once`).  A context is never pickled: runner workers
+    and shards build their own.
+    """
 
     def __init__(
         self,
@@ -163,6 +171,23 @@ class ExperimentContext:
         self._pruned_weights: dict[tuple, dict[str, np.ndarray]] = {}
         self._sparsity: dict[str, SparsityReport] = {}
         self._position_stats: dict[str, dict[str, float]] = {}
+        self._build_locks: dict[tuple, threading.Lock] = {}
+        self._build_locks_guard = threading.Lock()
+
+    def _build_once(self, cache: dict, key, build):
+        """``cache[key]``, built by ``build()`` once across threads.
+
+        A second caller of the same key waits for the first build rather
+        than running its own; other keys build concurrently.
+        """
+        if key in cache:
+            return cache[key]
+        with self._build_locks_guard:
+            lock = self._build_locks.setdefault((id(cache), key), threading.Lock())
+        with lock:
+            if key not in cache:
+                cache[key] = build()
+        return cache[key]
 
     # ------------------------------------------------------------------
     # network construction and calibration
@@ -183,8 +208,11 @@ class ExperimentContext:
         return self._structures[name]
 
     def network_ctx(self, name: str) -> NetworkContext:
-        if name in self._networks:
-            return self._networks[name]
+        return self._build_once(
+            self._networks, name, lambda: self._build_network(name)
+        )
+
+    def _build_network(self, name: str) -> NetworkContext:
         network = self.network_structure(name)
         preset = self._preset_stores.get(name)
         if preset is not None:
@@ -197,21 +225,16 @@ class ExperimentContext:
                 seed=self.config.seed + 1,
             )
             images = [img.astype(np.float32) for img in images]
-            ctx = NetworkContext(
+            return NetworkContext(
                 name=name, network=network, store=preset, images=images
             )
-            self._networks[name] = ctx
-            return ctx
-        rng = np.random.default_rng(self.config.seed)
-        store = init_weights(network, rng)
+        # init_weights draws float32: single precision halves the cost of
+        # the forward sweeps; zero-pattern statistics and timing are
+        # unaffected.
+        store = init_weights(network, np.random.default_rng(self.config.seed))
         images = natural_images(
             network.input_shape, self.config.num_images, seed=self.config.seed + 1
         )
-
-        # Single precision halves the cost of the (single-core) forward
-        # sweeps; zero-pattern statistics and timing are unaffected.
-        store.weights = {k: v.astype(np.float32) for k, v in store.weights.items()}
-        store.biases = {k: v.astype(np.float32) for k, v in store.biases.items()}
         images = [img.astype(np.float32) for img in images]
 
         cached = self.artifacts.load("calib", network=name)
@@ -236,9 +259,7 @@ class ExperimentContext:
                 network=name,
             )
 
-        ctx = NetworkContext(name=name, network=network, store=store, images=images)
-        self._networks[name] = ctx
-        return ctx
+        return NetworkContext(name=name, network=network, store=store, images=images)
 
     # ------------------------------------------------------------------
     # forwards and timings
@@ -251,12 +272,13 @@ class ExperimentContext:
         configurations, and the consumers below (``forward``,
         ``prediction_stability``, ``timing``, the threshold searches).
         """
-        if name not in self._engines:
+        def build() -> IncrementalForwardEngine:
             ctx = self.network_ctx(name)
-            self._engines[name] = IncrementalForwardEngine(
+            return IncrementalForwardEngine(
                 ctx.network, ctx.store, np.stack(ctx.images), label=name
             )
-        return self._engines[name]
+
+        return self._build_once(self._engines, name, build)
 
     def forward(
         self,
@@ -283,13 +305,11 @@ class ExperimentContext:
         """Per-conv-layer magnitude-pruned weights for the weight-sparse
         backends — a pure function of the calibrated store, so every
         process (worker, shard, direct path) derives identical masks."""
-        key = (name, float(sparsity))
-        if key not in self._pruned_weights:
+        def build() -> dict[str, np.ndarray]:
             ctx = self.network_ctx(name)
-            self._pruned_weights[key] = prune_conv_weights(
-                ctx.network, ctx.store.weights, sparsity
-            )
-        return self._pruned_weights[key]
+            return prune_conv_weights(ctx.network, ctx.store.weights, sparsity)
+
+        return self._build_once(self._pruned_weights, (name, float(sparsity)), build)
 
     def timing(
         self,

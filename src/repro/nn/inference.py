@@ -73,15 +73,26 @@ class WeightStore:
         return self.shifts.get(layer_name, 0.0)
 
 
+#: Elements per float64 draw in :func:`init_weights` (8 MB of scratch,
+#: however large the layer).
+_DRAW_CHUNK = 1 << 20
+
+
 def init_weights(network: Network, rng: np.random.Generator) -> WeightStore:
-    """He-initialized random weights for every conv and FC layer.
+    """He-initialized random float32 weights for every conv and FC layer.
 
     The reproduction substitutes pretrained Model-Zoo weights with random
     filters whose scale keeps activation variance roughly constant across
     layers (He et al. scaling); :mod:`repro.nn.calibration` then sets the
     per-layer shifts so the zero-neuron fractions match the paper's Fig. 1.
+
+    Each layer is drawn in float64 through a bounded scratch buffer and
+    rounded into its float32 array, so the bytes equal
+    ``rng.normal(0.0, scale, shape).astype(np.float32)`` without the
+    float64 copy of the layer ever existing.
     """
     store = WeightStore()
+    scratch = np.empty(_DRAW_CHUNK)
     for layer in network.layers:
         if layer.kind == LayerKind.CONV:
             depth = network.input_shape_of(layer.name)[0] // layer.groups
@@ -94,8 +105,16 @@ def init_weights(network: Network, rng: np.random.Generator) -> WeightStore:
         else:
             continue
         scale = np.sqrt(2.0 / fan_in)
-        store.weights[layer.name] = rng.normal(0.0, scale, size=shape)
-        store.biases[layer.name] = np.zeros(layer.num_filters)
+        weights = np.empty(shape, dtype=np.float32)
+        flat = weights.reshape(-1)
+        for start in range(0, flat.size, _DRAW_CHUNK):
+            draw = scratch[: min(_DRAW_CHUNK, flat.size - start)]
+            rng.standard_normal(out=draw)
+            draw *= scale
+            draw += 0.0  # -0.0 becomes +0.0, as in 0.0 + scale * z
+            flat[start : start + draw.size] = draw
+        store.weights[layer.name] = weights
+        store.biases[layer.name] = np.zeros(layer.num_filters, dtype=np.float32)
     return store
 
 

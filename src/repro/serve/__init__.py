@@ -2,11 +2,13 @@
 
 The production-facing front end the ROADMAP's north star asks for:
 classify / zero-fraction / timing requests against any of the six paper
-networks, coalesced by a dynamic micro-batcher onto the batch-axis
-forward engine, executed on a bounded worker pool with
-:mod:`repro.reliability` retries, :mod:`repro.obs` spans/metrics
-(``serve.*``), explicit backpressure (bounded queues + 429-style shed
-responses), per-request deadlines, and a deterministic mode whose
+networks, coalesced by a work-conserving micro-batcher (a free worker
+takes the oldest compatible group at once; requests coalesce only while
+every worker is busy) onto the batch-axis forward engine, executed on a
+bounded worker pool with :mod:`repro.reliability` retries,
+:mod:`repro.obs` spans/metrics (``serve.*``), explicit backpressure (a
+bounded backlog + 429-style shed responses), per-request deadlines, and
+a deterministic mode whose
 batched outputs are byte-identical to unbatched direct inference.
 
 The **sharded tier** (:mod:`repro.serve.router` /

@@ -1,25 +1,28 @@
-"""Dynamic micro-batching: coalesce compatible requests, bounded linger.
+"""Work-conserving micro-batching: coalesce compatible requests while
+every worker is busy, never hold one back from an idle worker.
 
 The batcher is deliberately a *pure* data structure — no tasks, no
-clocks of its own — so the asyncio service can drive it and the unit
-tests can single-step it.  Requests group by ``(network, thresholds)``
-(the compatibility key of :func:`repro.serve.models.execute_batch`); a
-group is cut into a batch when
+clocks — so the asyncio service can drive it and the unit tests can
+single-step it.  It holds every pending request.  Requests group by
+``(network, thresholds)`` (the compatibility key of
+:func:`repro.serve.models.execute_batch`) in arrival order; a group is
+*sealed* when it reaches ``max_batch`` entries (the next compatible
+arrival opens a new group) or when the service flushes.
 
-* it reaches ``max_batch`` requests (cut immediately), or
-* its oldest member has waited ``linger_s`` seconds (cut on
-  :meth:`due`), or
-* the service flushes (drain / shutdown / deterministic mode).
+:meth:`take` hands a free worker the oldest group it may take: any
+group, or in deterministic mode only a sealed one.  A request therefore
+waits only while every worker is busy, and that is exactly when
+compatible requests pile up into one batch — batches form under load
+and an idle service never holds a request back.
 
-Deterministic mode disables the linger clock entirely: batches cut at
-exactly every ``max_batch``-th arrival in submission order, and the tail
-only moves on an explicit :meth:`flush` — fixed batch boundaries, so a
-test run produces the same batches every time.
+Deterministic mode keeps fixed batch boundaries: batches cut at exactly
+every ``max_batch``-th compatible arrival in submission order, and a
+partial tail only moves on an explicit :meth:`flush` — so a test run
+produces the same batches every time.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -28,12 +31,12 @@ __all__ = ["Batch", "MicroBatcher"]
 
 @dataclass
 class Batch:
-    """One cut group of pending entries, ready for a worker."""
+    """One group of pending entries, taken by a worker."""
 
     network: str
     thresholds_key: tuple
     entries: list[Any]
-    reason: str  # "full" | "linger" | "flush"
+    reason: str  # "full" | "flush" | "idle" (a worker was free)
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -41,69 +44,66 @@ class Batch:
 
 @dataclass
 class _Group:
+    key: tuple
     entries: list[Any] = field(default_factory=list)
-    oldest_at: float = 0.0
+    sealed: str | None = None  # why it stopped accepting: "full" | "flush"
 
 
 class MicroBatcher:
-    """Group pending requests by compatibility key until cut."""
+    """Pending requests, grouped by compatibility key, oldest first."""
 
-    def __init__(
-        self, max_batch: int = 8, linger_s: float = 0.002,
-        deterministic: bool = False,
-    ):
+    def __init__(self, max_batch: int = 8, deterministic: bool = False):
         if max_batch < 1:
             raise ValueError("max_batch must be >= 1")
-        if linger_s < 0:
-            raise ValueError("linger_s must be >= 0")
         self.max_batch = max_batch
-        self.linger_s = linger_s
         self.deterministic = deterministic
-        self._groups: OrderedDict[tuple, _Group] = OrderedDict()
+        #: Every pending group, in the order of its oldest entry.
+        self._groups: list[_Group] = []
+        #: The group each key's next arrival joins (unsealed groups only).
+        self._open: dict[tuple, _Group] = {}
+        self._size = 0
 
     def __len__(self) -> int:
-        return sum(len(group.entries) for group in self._groups.values())
+        """Pending entries, across every group."""
+        return self._size
 
-    def _key(self, entry) -> tuple:
+    def add(self, entry) -> None:
+        """Queue one pending entry in its key's open group."""
         request = entry.request
-        return (request.network, request.thresholds_key())
-
-    def _cut(self, key: tuple, reason: str) -> Batch:
-        group = self._groups.pop(key)
-        return Batch(
-            network=key[0], thresholds_key=key[1],
-            entries=group.entries, reason=reason,
-        )
-
-    def add(self, entry, now: float) -> Batch | None:
-        """Queue one pending entry; returns a batch iff the group filled."""
-        key = self._key(entry)
-        group = self._groups.get(key)
+        key = (request.network, request.thresholds_key())
+        group = self._open.get(key)
         if group is None:
-            group = self._groups[key] = _Group(oldest_at=now)
+            group = self._open[key] = _Group(key)
+            self._groups.append(group)
         group.entries.append(entry)
+        self._size += 1
         if len(group.entries) >= self.max_batch:
-            return self._cut(key, "full")
+            self._seal(group, "full")
+
+    def _seal(self, group: _Group, reason: str) -> None:
+        group.sealed = reason
+        del self._open[group.key]
+
+    def take(self) -> Batch | None:
+        """The oldest group a free worker may take, or None.
+
+        Any group qualifies, except in deterministic mode, where only a
+        sealed one does (full, or released by :meth:`flush`).
+        """
+        for index, group in enumerate(self._groups):
+            if group.sealed is None and self.deterministic:
+                continue
+            del self._groups[index]
+            self._size -= len(group.entries)
+            if group.sealed is None:
+                self._seal(group, "idle")
+            return Batch(
+                network=group.key[0], thresholds_key=group.key[1],
+                entries=group.entries, reason=group.sealed,
+            )
         return None
 
-    def due(self, now: float) -> list[Batch]:
-        """Batches whose oldest entry has lingered past the budget."""
-        if self.deterministic:
-            return []
-        expired = [
-            key
-            for key, group in self._groups.items()
-            if now - group.oldest_at >= self.linger_s
-        ]
-        return [self._cut(key, "linger") for key in expired]
-
-    def next_due(self, now: float) -> float | None:
-        """Seconds until the earliest linger deadline (None when idle)."""
-        if self.deterministic or not self._groups:
-            return None
-        oldest = min(group.oldest_at for group in self._groups.values())
-        return max(0.0, self.linger_s - (now - oldest))
-
-    def flush(self) -> list[Batch]:
-        """Cut every group, oldest first (drain / shutdown)."""
-        return [self._cut(key, "flush") for key in list(self._groups)]
+    def flush(self) -> None:
+        """Seal every open group, so a worker may take it as it stands."""
+        for group in list(self._open.values()):
+            self._seal(group, "flush")

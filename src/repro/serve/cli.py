@@ -140,15 +140,13 @@ def _add_service_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=7)
     parser.add_argument("--max-batch", default=8,
                         type=field(ServeConfig, "max_batch", int))
-    parser.add_argument("--linger-ms", default=2.0,
-                        type=field(ServeConfig, "linger_ms", float))
     parser.add_argument("--queue-limit", default=64,
                         type=field(ServeConfig, "queue_limit", int))
     parser.add_argument("--workers", default=2,
                         type=field(ServeConfig, "workers", int))
     parser.add_argument("--deterministic", action="store_true",
-                        help="single worker, fixed batch boundaries, no "
-                        "linger clock (reproducible runs)")
+                        help="single worker, fixed batch boundaries "
+                        "(reproducible runs)")
     parser.add_argument("--no-cache", action="store_true",
                         help="skip the on-disk calibration artifact cache")
     parser.add_argument("--shards", default=0, metavar="N",
@@ -212,7 +210,6 @@ def _service_config(args) -> ServeConfig:
         networks=tuple(args.networks),
         seed=args.seed,
         max_batch=args.max_batch,
-        linger_ms=args.linger_ms,
         queue_limit=args.queue_limit,
         workers=args.workers,
         deterministic=args.deterministic,
@@ -466,9 +463,9 @@ async def _loadgen_async(args) -> int:
                 "scale": config.scale,
                 "networks": list(config.networks),
                 "max_batch": config.max_batch,
-                "linger_ms": config.linger_ms,
                 "queue_limit": config.queue_limit,
-                "workers": config.workers,
+                # The workers that ran: one under --deterministic.
+                "workers": config.streams,
                 "blas_threads": blas.threads(),
                 "deterministic": config.deterministic,
                 "rate": args.rate,

@@ -13,10 +13,11 @@ batched forward shared by every request in the batch (classify,
 zero-fraction, and timing requests coalesce freely as long as they agree
 on network + thresholds), then per-request payload assembly from the
 sliced activations.  Seeded requests (distinct synthetic inputs) stack
-through the engine's one-off batch admission; when none of them is a
-classify request the stack is read only through its conv inputs, so
-that forward stops at the last conv layer's input and never computes
-the last conv layer or the FC classifier.  *Probe* requests
+through the engine's one-off batch admission, in two stacks: the
+classify rows run the whole network, and the other rows are read only
+through their conv inputs, so their forward stops at the last conv
+layer's input and never computes the last conv layer or the FC
+classifier.  *Probe* requests
 (``image_index`` into the engine's resident stack) run the whole
 network through :meth:`~repro.nn.engine.IncrementalForwardEngine.run`,
 whose threshold-signature LRU replays cached layer prefixes — the
@@ -196,10 +197,6 @@ def _needs_conv_inputs(requests: list[ServeRequest]) -> bool:
     return any(req.kind in ("zero_fraction", "timing") for req in requests)
 
 
-def _needs_logits(requests: list[ServeRequest]) -> bool:
-    return any(req.kind == "classify" for req in requests)
-
-
 def execute_batch(
     repo: ModelRepository, requests: list[ServeRequest]
 ) -> list[ServeResponse]:
@@ -207,9 +204,11 @@ def execute_batch(
 
     Every request must agree on (network, thresholds) — the micro-batcher
     groups by exactly that key.  Seeded requests stack through the
-    engine's batch-admission hook, which reads the logits only when a
-    classify request is among them: a timing / zero-fraction stack stops
-    at the last conv layer's input.  Probe requests (``image_index``)
+    engine's batch-admission hook as two stacks: the classify rows read
+    the logits, and the timing / zero-fraction rows stop at the last conv
+    layer's input, so a mixed batch computes the FC tail for its classify
+    rows only.  Every kernel runs per image, so the split moves no byte.
+    Probe requests (``image_index``)
     share one :meth:`~repro.nn.engine.IncrementalForwardEngine.run` over
     the resident stack, replaying cached layer prefixes when the
     threshold signature has been seen before.  Both paths are
@@ -233,16 +232,21 @@ def execute_batch(
     ]
     responses: dict[int, ServeResponse] = {}
 
-    if seeded:
-        stack = np.stack([repo.image(name, req.image_seed) for _, req in seeded])
-        stacked = [req for _, req in seeded]
+    for classify in (True, False):
+        rows = [
+            (pos, req) for pos, req in seeded
+            if (req.kind == "classify") == classify
+        ]
+        if not rows:
+            continue
+        stack = np.stack([repo.image(name, req.image_seed) for _, req in rows])
         result = repo.engine(name).run_stack(
             stack,
             thresholds=thresholds,
-            collect_conv_inputs=_needs_conv_inputs(stacked),
-            collect_logits=_needs_logits(stacked),
+            collect_conv_inputs=not classify,
+            collect_logits=classify,
         )
-        for index, (pos, req) in enumerate(seeded):
+        for index, (pos, req) in enumerate(rows):
             logits = None if result.logits is None else result.logits[index]
             conv_inputs = {
                 layer: arr[index] for layer, arr in result.conv_inputs.items()

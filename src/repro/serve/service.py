@@ -1,27 +1,31 @@
-"""Asyncio inference service: bounded queues, micro-batching, workers.
+"""Asyncio inference service: micro-batching, workers, bounded backlog.
 
 Request flow::
 
-    try_submit ──► request queue (bounded: full ⇒ explicit 429-style
-        │          "shed" response, never unbounded memory)
+    try_submit ──► MicroBatcher (pending requests, grouped by network +
+        │          thresholds; bounded: ``queue_limit`` pending ⇒ an
+        │          explicit 429-style "shed" response, never unbounded
+        │          memory)
         ▼
-    dispatcher ──► MicroBatcher (cut on max_batch / linger deadline)
-        │
-        ▼
-    batch queue (bounded ⇒ a slow worker backpressures the dispatcher,
-        │         which backpressures the request queue, which sheds)
-        ▼
-    worker pool ──► execute_batch (off the event loop via a thread; numpy
-                    releases the GIL in BLAS) with RetryPolicy-governed
-                    retries and deterministic backoff
+    worker pool ──► a free worker takes the oldest group at once (up to
+                    ``max_batch`` entries) and runs execute_batch off the
+                    event loop via a thread (numpy releases the GIL in
+                    BLAS), with RetryPolicy-governed retries and
+                    deterministic backoff
+
+The cut rule is work-conserving: a request waits only while every
+worker is busy, and compatible requests that arrive meanwhile coalesce
+into one batch — batches form under load, and an idle service never
+holds a request back for a partner that may not come.
 
 Per-request deadlines are enforced at execution time: a request whose
 budget expired while queued gets a ``timeout`` (504) response without
 computing.  Deterministic mode (``ServeConfig(deterministic=True)``)
-pins everything the schedule could perturb — single worker, no linger
-clock, batches cut at exactly every ``max_batch``-th arrival, tail
-flushed only by :meth:`InferenceService.drain` — so tests can assert
-byte-identical outputs run after run.
+pins everything the schedule could perturb — single worker, batches cut
+at exactly every ``max_batch``-th compatible arrival, partial groups
+released only by :meth:`InferenceService.flush` /
+:meth:`InferenceService.drain` — so tests can assert byte-identical
+outputs run after run.
 
 :meth:`InferenceService.start` shares this process's BLAS threads among
 its workers (:func:`repro.nn.blas.decide`), once per process, before
@@ -33,9 +37,7 @@ All latency arithmetic (enqueue stamps, deadlines, reported
 loop's ``loop.time()``.  One epoch means a request's reported latency
 and its trace spans agree, and the load generator's percentiles are
 computed on the same axis the service measured (mixing epochs skewed
-p99 under overload).  ``loop.time()`` survives only inside the
-micro-batcher's linger scheduling, where only differences of the same
-clock are ever taken.
+p99 under overload).  The service schedules no timers of its own.
 
 Every stage reports to :mod:`repro.obs`: ``serve.requests`` /
 ``serve.shed`` / ``serve.timeouts`` / ``serve.errors`` /
@@ -51,6 +53,7 @@ from __future__ import annotations
 import asyncio
 import time
 import traceback
+from collections import deque
 from dataclasses import dataclass, field
 
 from repro import obs
@@ -63,9 +66,6 @@ from repro.serve.requests import ServeRequest, ServeResponse
 
 __all__ = ["ServeConfig", "InferenceService", "PendingRequest"]
 
-#: Queue sentinel: flush every lingering partial batch (drain/shutdown).
-_FLUSH = object()
-
 
 @dataclass(frozen=True)
 class ServeConfig:
@@ -75,7 +75,6 @@ class ServeConfig:
     networks: tuple[str, ...] = ("alex", "cnnS")
     seed: int = 7
     max_batch: int = 8
-    linger_ms: float = 2.0
     queue_limit: int = 64
     workers: int = 2
     deterministic: bool = False
@@ -84,8 +83,6 @@ class ServeConfig:
     def __post_init__(self) -> None:
         if self.max_batch < 1:
             raise ValueError("max_batch must be >= 1")
-        if not self.linger_ms >= 0:
-            raise ValueError("linger_ms must be >= 0")
         if self.queue_limit < 1:
             raise ValueError("queue_limit must be >= 1")
         if self.workers < 1:
@@ -120,9 +117,9 @@ class PendingRequest:
 
 @dataclass
 class _ServiceState:
-    queue: asyncio.Queue = None
-    batches: asyncio.Queue = None
     tasks: list = field(default_factory=list)
+    #: One future per worker waiting for work, resolved to wake it.
+    idle: deque = field(default_factory=deque)
 
 
 class InferenceService:
@@ -148,7 +145,6 @@ class InferenceService:
         self.injector = injector if injector is not None else FaultInjector.from_settings()
         self.batcher = MicroBatcher(
             max_batch=self.config.max_batch,
-            linger_s=self.config.linger_ms / 1e3,
             deterministic=self.config.deterministic,
         )
         self._state: _ServiceState | None = None
@@ -168,15 +164,9 @@ class InferenceService:
         # Calibration is lazy, so nothing has computed yet: the one
         # point where this process's BLAS count can still be decided.
         blas.decide(workers)
-        state = _ServiceState(
-            queue=asyncio.Queue(maxsize=self.config.queue_limit),
-            batches=asyncio.Queue(maxsize=max(2, 2 * workers)),
-        )
-        state.tasks.append(asyncio.create_task(self._dispatch_loop(state)))
-        for index in range(workers):
-            state.tasks.append(
-                asyncio.create_task(self._worker_loop(state, index))
-            )
+        state = _ServiceState()
+        for _ in range(workers):
+            state.tasks.append(asyncio.create_task(self._worker_loop(state)))
         self._state = state
 
     async def stop(self) -> None:
@@ -189,21 +179,23 @@ class InferenceService:
             task.cancel()
         await asyncio.gather(*state.tasks, return_exceptions=True)
 
-    async def flush(self) -> None:
-        """Cut every lingering partial batch without awaiting completion.
+    def flush(self) -> None:
+        """Release every partial group to the workers, without awaiting
+        completion.
 
-        Deterministic mode has no linger clock, so a caller that cannot
-        arrange a final :meth:`drain` (a shard worker serving a remote
-        router) flushes explicitly after enqueueing — the sharded tier's
-        replacement for drain-driven batch cuts.
+        Only deterministic mode holds partial groups back, so a caller
+        that cannot arrange a final :meth:`drain` (a shard worker serving
+        a remote router) flushes explicitly after enqueueing — the
+        sharded tier's replacement for drain-driven batch cuts.
         """
         state = self._require_state()
-        await state.queue.put(_FLUSH)
+        self.batcher.flush()
+        while state.idle:  # several groups may have become takeable
+            state.idle.popleft().set_result(None)
 
     async def drain(self) -> None:
-        """Flush partial batches and wait for every accepted request."""
-        state = self._require_state()
-        await state.queue.put(_FLUSH)
+        """Flush partial groups and wait for every accepted request."""
+        self.flush()
         while True:
             pending = [f for f in self._pending if not f.done()]
             if not pending:
@@ -221,9 +213,10 @@ class InferenceService:
     def try_submit(self, request: ServeRequest) -> asyncio.Future | ServeResponse:
         """Enqueue, or return the explicit shed response when full.
 
-        The bounded queue is the backpressure contract: a rejected
-        request costs one small response object, so sustained overload
-        keeps memory flat (pinned by the overload test).
+        ``queue_limit`` pending requests is the backpressure contract: a
+        rejected request costs one small response object, so sustained
+        overload keeps memory flat (pinned by the overload test).  An
+        accepted request wakes an idle worker, if there is one.
         """
         state = self._require_state()
         obs.counter_add("serve.requests")
@@ -232,6 +225,13 @@ class InferenceService:
             future: asyncio.Future = asyncio.get_running_loop().create_future()
             future.set_result(self._finished(request, "error", {"error": error}))
             return future
+        if len(self.batcher) >= self.config.queue_limit:
+            obs.counter_add("serve.shed")
+            return ServeResponse(
+                id=request.id, status="shed", kind=request.kind,
+                network=request.network,
+                payload={"error": "queue full", "queue_limit": self.config.queue_limit},
+            )
         now = time.perf_counter()
         entry = PendingRequest(
             request=request,
@@ -243,20 +243,11 @@ class InferenceService:
                 else now + request.deadline_ms / 1e3
             ),
         )
-        try:
-            state.queue.put_nowait(entry)
-        except asyncio.QueueFull:
-            obs.counter_add("serve.shed")
-            return ServeResponse(
-                id=request.id, status="shed", kind=request.kind,
-                network=request.network,
-                payload={"error": "queue full", "queue_limit": self.config.queue_limit},
-            )
-        depth = state.queue.qsize()
-        obs.gauge_set("serve.queue_depth", depth)
-        obs.gauge_max("serve.queue_depth.max", depth)
+        self.batcher.add(entry)
+        self._report_depth()
         self._pending.add(entry.future)
         entry.future.add_done_callback(self._pending.discard)
+        self._wake(state)
         return entry.future
 
     async def submit(self, request: ServeRequest) -> ServeResponse:
@@ -269,38 +260,30 @@ class InferenceService:
     # ------------------------------------------------------------------
     # pipeline tasks
     # ------------------------------------------------------------------
-    async def _dispatch_loop(self, state: _ServiceState) -> None:
+    def _report_depth(self) -> None:
+        depth = len(self.batcher)
+        obs.gauge_set("serve.queue_depth", depth)
+        obs.gauge_max("serve.queue_depth.max", depth)
+
+    @staticmethod
+    def _wake(state: _ServiceState) -> None:
+        """Wake one idle worker (no-op when every worker is busy)."""
+        if state.idle:
+            state.idle.popleft().set_result(None)
+
+    async def _worker_loop(self, state: _ServiceState) -> None:
+        """Take the oldest group the moment one exists; else sleep until
+        a submission or a flush wakes this worker."""
         loop = asyncio.get_running_loop()
         while True:
-            timeout = self.batcher.next_due(loop.time())
-            try:
-                if timeout is None:
-                    entry = await state.queue.get()
-                else:
-                    entry = await asyncio.wait_for(state.queue.get(), timeout)
-            except (TimeoutError, asyncio.TimeoutError):
-                entry = None
-            if entry is _FLUSH:
-                for batch in self.batcher.flush():
-                    await state.batches.put(batch)
+            batch = self.batcher.take()
+            if batch is None:
+                waiter = loop.create_future()
+                state.idle.append(waiter)
+                await waiter
                 continue
-            if entry is not None:
-                depth = state.queue.qsize()
-                obs.gauge_set("serve.queue_depth", depth)
-                obs.gauge_max("serve.queue_depth.max", depth)
-                batch = self.batcher.add(entry, loop.time())
-                if batch is not None:
-                    await state.batches.put(batch)
-            for batch in self.batcher.due(loop.time()):
-                await state.batches.put(batch)
-
-    async def _worker_loop(self, state: _ServiceState, index: int) -> None:
-        while True:
-            batch = await state.batches.get()
-            try:
-                await self._execute(batch)
-            finally:
-                state.batches.task_done()
+            self._report_depth()
+            await self._execute(batch)
 
     # ------------------------------------------------------------------
     # execution

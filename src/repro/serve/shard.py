@@ -1,7 +1,8 @@
 """Shard worker process: one engine-owning service behind a unix socket.
 
 A *shard* is a full :class:`~repro.serve.service.InferenceService` —
-micro-batcher, bounded queues, worker pool, retry policy — running in
+work-conserving micro-batcher, bounded backlog, worker pool, retry
+policy — running in
 its own process and speaking a JSON-lines envelope protocol over a unix
 domain socket to the router (:mod:`repro.serve.router`).  Because the
 router consistent-hashes on ``(network, thresholds)``, each shard sees a
@@ -242,10 +243,11 @@ async def _shard_main(spec: ShardSpec) -> None:
             outcome = service.try_submit(request)
             if isinstance(outcome, asyncio.Future):
                 if spec.config.deterministic:
-                    # No linger clock in deterministic mode and no
-                    # router-driven drain: flush so the enqueued request
-                    # (plus anything pipelined before it) executes now.
-                    await service.flush()
+                    # Deterministic mode holds partial groups and no
+                    # router-driven drain releases them: flush so the
+                    # enqueued request (plus anything pipelined before
+                    # it) executes now.
+                    service.flush()
                 response = await outcome
             else:
                 response = outcome

@@ -3,9 +3,11 @@
 import numpy as np
 import pytest
 
+from repro.experiments.config import PaperConfig
+from repro.nn import inference
 from repro.nn.datasets import natural_images
 from repro.nn.inference import init_weights, run_forward
-from repro.nn.models import build_network
+from repro.nn.models import build_network, network_names
 from repro.nn.network import LayerSpec, Network
 from repro.nn.tensor import DEFAULT_FORMAT
 
@@ -68,6 +70,33 @@ class TestForward:
         assert result.outputs == {}
         assert set(result.conv_inputs) == {"conv1", "conv2"}
         assert result.logits is not None
+
+
+class TestInitWeights:
+    @pytest.mark.parametrize("name", network_names())
+    def test_float32_draw_equals_the_cast_float64_draw(self, name, monkeypatch):
+        """Weights drawn straight into float32 (through a bounded float64
+        buffer) equal the whole float64 draw cast afterwards, byte for
+        byte, on every paper network at tiny scale."""
+        # An odd chunk: every network draws some layer over several
+        # chunks and a ragged tail.
+        monkeypatch.setattr(inference, "_DRAW_CHUNK", 65537)
+        network = build_network(
+            name, input_size=PaperConfig(scale="tiny").input_size(name)
+        )
+        store = init_weights(network, np.random.default_rng(7))
+        reference = np.random.default_rng(7)
+        for layer in network.layers:  # the draw order
+            if layer.name not in store.weights:
+                continue
+            weights = store.weights[layer.name]
+            scale = np.sqrt(2.0 / np.prod(weights.shape[1:]))
+            expected = reference.normal(0.0, scale, weights.shape).astype(np.float32)
+            assert weights.dtype == np.float32, layer.name
+            assert weights.tobytes() == expected.tobytes(), layer.name
+            biases = store.biases[layer.name]
+            assert biases.dtype == np.float32 and not biases.any()
+        assert max(w.size for w in store.weights.values()) > inference._DRAW_CHUNK
 
 
 class TestDtypePolicy:

@@ -5,27 +5,35 @@ The load-bearing guarantees:
 * **Differential**: a deterministic service run — any arrival order, any
   batch cuts — produces responses byte-identical (canonical bytes) to
   one-at-a-time direct inference, for 100+ mixed-network requests.
-* **Overload**: with a bounded queue and offered load beyond capacity,
-  excess requests get explicit 429-style shed responses, every request
-  gets *some* response, and the accepted ones are still byte-correct.
+* **Overload**: with a bounded backlog and offered load beyond
+  capacity, excess requests get explicit 429-style shed responses, every
+  request gets *some* response, and the accepted ones are still
+  byte-correct.
+* **Cut rule**: a free worker takes the oldest group at once; requests
+  coalesce only while every worker is busy.
 """
 
 from __future__ import annotations
 
 import asyncio
+import collections
 import json
 import os
 import socket
 import subprocess
 import sys
+import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
 
+import repro.serve.service as serve_service
 from repro import obs
 from repro.nn import blas
+from repro.nn.network import LayerKind
 from repro.reliability import FaultInjector, RetryPolicy
 from repro.reliability.faults import parse_faults
 from repro.serve import (
@@ -168,8 +176,9 @@ class TestBlasBudget:
 
 class TestSeededShortPass:
     """A seeded batch with no classify request reads only conv inputs, so
-    its forward stops at the last conv layer's input — and still answers
-    byte-identically to the full-forward ``direct_response``."""
+    its forward stops at the last conv layer's input; a mixed batch
+    computes the FC tail for its classify rows only — and both still
+    answer byte-identically to the full-forward ``direct_response``."""
 
     @pytest.mark.parametrize("network", SERVE_NETWORKS)
     @pytest.mark.parametrize(
@@ -179,6 +188,7 @@ class TestSeededShortPass:
             ("zero_fraction", "zero_fraction"),
             ("timing", "zero_fraction"),
             ("classify", "timing"),
+            ("classify", "zero_fraction", "timing", "classify"),
         ],
         ids="+".join,
     )
@@ -186,11 +196,14 @@ class TestSeededShortPass:
         from repro.nn import inference
 
         applied: list[str] = []
+        fc_images = collections.Counter()
         apply_layer = inference.apply_layer
 
-        def counting_apply_layer(layer, *args, **kwargs):
+        def counting_apply_layer(layer, src, *args, **kwargs):
             applied.append(layer.name)
-            return apply_layer(layer, *args, **kwargs)
+            if layer.kind == LayerKind.FC:
+                fc_images[layer.name] += src.shape[0]
+            return apply_layer(layer, src, *args, **kwargs)
 
         requests = [
             ServeRequest(id=f"q{i}", kind=kind, network=network, image_seed=40 + i)
@@ -208,6 +221,15 @@ class TestSeededShortPass:
             assert set(tail) <= set(applied)
         else:
             assert not set(tail) & set(applied), tail
+        # One FC image-layer per classify row: the other rows stop early.
+        fc_layers = [
+            layer.name for layer in layers.layers if layer.kind == LayerKind.FC
+        ]
+        assert fc_layers
+        assert fc_images == {
+            name: kinds.count("classify") for name in fc_layers
+            if "classify" in kinds
+        }
         for request, response in zip(requests, responses):
             assert response.status == "ok"
             assert canonical_response_bytes(response) == (
@@ -220,7 +242,7 @@ class TestOverload:
         """Offered load >> capacity: explicit sheds, correct accepts."""
         config = ServeConfig(
             scale="tiny", networks=SERVE_NETWORKS, use_cache=False,
-            max_batch=2, queue_limit=3, workers=1, linger_ms=1.0,
+            max_batch=2, queue_limit=3, workers=1,
         )
         requests = build_requests(30, networks=list(SERVE_NETWORKS), seed=5)
         result = drive(repo, config, requests, rate=2000.0, seed=5)
@@ -365,45 +387,271 @@ class TestMicroBatcher:
         )
         return SimpleNamespace(request=request, future=None)
 
+    @staticmethod
+    def ids(batch) -> list[str]:
+        return [e.request.id for e in batch.entries]
+
     def test_cuts_full_batch_at_max(self):
-        batcher = MicroBatcher(max_batch=3, linger_s=1.0)
-        assert batcher.add(self.entry("a"), now=0.0) is None
-        assert batcher.add(self.entry("b"), now=0.0) is None
-        batch = batcher.add(self.entry("c"), now=0.0)
-        assert batch is not None and batch.reason == "full"
-        assert [e.request.id for e in batch.entries] == ["a", "b", "c"]
+        batcher = MicroBatcher(max_batch=3)
+        for rid in "abcd":
+            batcher.add(self.entry(rid))
+        assert len(batcher) == 4
+        batch = batcher.take()
+        assert batch.reason == "full" and self.ids(batch) == ["a", "b", "c"]
+        # "d" arrived after its group sealed: the start of the next one.
+        batch = batcher.take()
+        assert batch.reason == "idle" and self.ids(batch) == ["d"]
+        assert batcher.take() is None and len(batcher) == 0
 
-    def test_linger_deadline_cuts_partial_batch(self):
-        batcher = MicroBatcher(max_batch=8, linger_s=0.010)
-        batcher.add(self.entry("a"), now=0.0)
-        assert batcher.due(now=0.005) == []
-        assert batcher.next_due(now=0.005) == pytest.approx(0.005)
-        due = batcher.due(now=0.011)
-        assert len(due) == 1 and due[0].reason == "linger"
+    def test_take_returns_the_oldest_group(self):
+        batcher = MicroBatcher(max_batch=2)
+        for rid, network in (("a", "cnnS"), ("b", "alex"), ("c", "alex"),
+                             ("d", "cnnS"), ("e", "alex")):
+            batcher.add(self.entry(rid, network))
+        # The full alex group does not jump the older partial cnnS group.
+        assert [self.ids(batcher.take()) for _ in range(3)] == [
+            ["a", "d"], ["b", "c"], ["e"],
+        ]
+        assert batcher.take() is None
 
-    def test_deterministic_mode_ignores_the_clock(self):
-        batcher = MicroBatcher(max_batch=2, linger_s=0.001, deterministic=True)
-        batcher.add(self.entry("a"), now=0.0)
-        assert batcher.due(now=999.0) == []
-        assert batcher.next_due(now=999.0) is None
-        flushed = batcher.flush()
-        assert len(flushed) == 1 and flushed[0].reason == "flush"
+    def test_deterministic_mode_takes_only_full_or_flushed_groups(self):
+        batcher = MicroBatcher(max_batch=2, deterministic=True)
+        batcher.add(self.entry("a"))
+        batcher.add(self.entry("b", "cnnS"))
+        assert batcher.take() is None
+        batcher.add(self.entry("c", "cnnS"))
+        batch = batcher.take()
+        assert batch.reason == "full" and self.ids(batch) == ["b", "c"]
+        batcher.flush()
+        batcher.add(self.entry("d"))  # after the flush: a new partial group
+        batch = batcher.take()
+        assert batch.reason == "flush" and self.ids(batch) == ["a"]
+        assert batcher.take() is None
+        assert len(batcher) == 1
 
     def test_groups_by_network_and_thresholds(self):
-        batcher = MicroBatcher(max_batch=2, linger_s=1.0)
-        assert batcher.add(self.entry("a", "alex"), now=0.0) is None
-        assert batcher.add(self.entry("b", "cnnS"), now=0.0) is None
-        batch = batcher.add(self.entry("c", "alex"), now=0.0)
+        batcher = MicroBatcher(max_batch=2, deterministic=True)
+        batcher.add(self.entry("a", "alex"))
+        batcher.add(self.entry("b", "cnnS"))
+        batcher.add(self.entry("c", "alex"))
+        batch = batcher.take()
         assert batch is not None and batch.network == "alex"
-        thresholded = batcher.add(
-            self.entry("d", "cnnS", thresholds={"conv1": 0.5}), now=0.0
-        )
-        assert thresholded is None  # distinct group from plain cnnS
-        remaining = batcher.flush()
+        batcher.add(self.entry("d", "cnnS", thresholds={"conv1": 0.5}))
+        assert batcher.take() is None  # distinct group from plain cnnS
+        batcher.flush()
+        remaining = [batcher.take(), batcher.take()]
         assert [len(b.entries) for b in remaining] == [1, 1]
         assert {b.thresholds_key for b in remaining} == {
             (), (("conv1", 0.5),)
         }
+
+
+def _ok(requests) -> list[ServeResponse]:
+    return [
+        ServeResponse(
+            id=req.id, status="ok", kind=req.kind, network=req.network,
+            payload={},
+        )
+        for req in requests
+    ]
+
+
+class TestCutRule:
+    """The service's cut rule, with ``execute_batch`` replaced by a
+    recorder that computes nothing: a free worker takes the oldest group
+    at once, and requests coalesce only while every worker is busy."""
+
+    @staticmethod
+    def hold_first_batch(monkeypatch):
+        """Record each batch's request ids; hold the first batch in its
+        worker thread until ``release`` is set."""
+        entered, release = threading.Event(), threading.Event()
+        batches: list[list[str]] = []
+
+        def recording_execute_batch(repo, requests):
+            batches.append([req.id for req in requests])
+            if len(batches) == 1:
+                entered.set()
+                assert release.wait(timeout=30)
+            return _ok(requests)
+
+        monkeypatch.setattr(serve_service, "execute_batch", recording_execute_batch)
+        return entered, release, batches
+
+    @staticmethod
+    def one_worker(**overrides) -> ServeConfig:
+        kwargs = dict(
+            scale="tiny", networks=SERVE_NETWORKS, use_cache=False, workers=1,
+        )
+        kwargs.update(overrides)
+        return ServeConfig(**kwargs)
+
+    def run_held(self, repo, monkeypatch, config, first, later, spacing_s):
+        """Submit ``first``; once the only worker holds it, submit
+        ``later`` ``spacing_s`` apart, then release.  Returns the batches
+        and the responses (``first`` then ``later``)."""
+        entered, release, batches = self.hold_first_batch(monkeypatch)
+
+        async def _go():
+            service = InferenceService(config, repo=repo)
+            await service.start()
+            try:
+                futures = [service.try_submit(first)]
+                assert await asyncio.to_thread(entered.wait, 30)
+                for request in later:
+                    await asyncio.sleep(spacing_s)
+                    futures.append(service.try_submit(request))
+                release.set()
+                return await asyncio.gather(*futures)
+            finally:
+                release.set()
+                await service.stop()
+
+        return batches, asyncio.run(_go())
+
+    def test_arrivals_coalesce_while_the_only_worker_is_busy(
+        self, repo, monkeypatch
+    ):
+        """Arrivals 5 ms apart, wider than any linger window, form one
+        batch of ``max_batch`` behind a busy worker; the next opens a new
+        group."""
+        requests = [
+            ServeRequest(id=f"c{i}", kind="classify", network="alex", image_seed=i)
+            for i in range(6)
+        ]
+        batches, responses = self.run_held(
+            repo, monkeypatch, self.one_worker(max_batch=4),
+            requests[0], requests[1:], spacing_s=0.005,
+        )
+        assert batches == [["c0"], ["c1", "c2", "c3", "c4"], ["c5"]]
+        assert [r.batch_size for r in responses] == [1, 4, 4, 4, 4, 1]
+
+    def test_a_free_worker_takes_the_oldest_group(self, repo, monkeypatch):
+        def request(rid, network, thresholds=None):
+            return ServeRequest(
+                id=rid, kind="classify", network=network, thresholds=thresholds,
+            )
+
+        later = [
+            request("s1", "cnnS"),
+            request("p1", "alex"),
+            request("s2", "cnnS"),
+            request("t1", "alex", {"conv2": 0.02}),
+            request("p2", "alex"),
+        ]
+        batches, responses = self.run_held(
+            repo, monkeypatch, self.one_worker(),
+            request("h0", "alex"), later, spacing_s=0.005,
+        )
+        assert batches == [["h0"], ["s1", "s2"], ["p1", "p2"], ["t1"]]
+        assert all(r.status == "ok" for r in responses)
+
+    def test_lone_request_on_an_idle_service_schedules_no_timer(
+        self, repo, monkeypatch
+    ):
+        """Nothing waits for a partner: the request reaches
+        ``execute_batch`` before the event loop schedules any timer."""
+        timers: list[float] = []
+        timers_at_execute: list[int] = []
+
+        def recording_execute_batch(repo, requests):
+            timers_at_execute.append(len(timers))
+            return _ok(requests)
+
+        monkeypatch.setattr(serve_service, "execute_batch", recording_execute_batch)
+
+        async def _go():
+            loop = asyncio.get_running_loop()
+            service = InferenceService(
+                self.one_worker(workers=2), repo=repo
+            )
+            await service.start()
+            call_at = loop.call_at
+
+            def recording_call_at(when, callback, *args, **kwargs):
+                timers.append(when)
+                return call_at(when, callback, *args, **kwargs)
+
+            loop.call_at = recording_call_at
+            try:
+                return await service.submit(ServeRequest(
+                    id="lone", kind="classify", network="alex", image_seed=1,
+                ))
+            finally:
+                del loop.call_at
+                await service.stop()
+
+        response = asyncio.run(_go())
+        assert response.status == "ok" and response.batch_size == 1
+        assert timers_at_execute == [0]
+
+    def test_linger_flag_is_gone(self, capsys):
+        from repro.serve.cli import main
+
+        with pytest.raises(SystemExit) as excinfo:
+            main(["loadgen", "--requests", "1", "--linger-ms", "2"])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --linger-ms" in capsys.readouterr().err
+
+
+class TestSingleFlightBuilds:
+    """Concurrent first requests share one build of each network, its
+    engine and its pruned weights (the service calls the repository from
+    several worker threads)."""
+
+    def test_concurrent_first_requests_build_once(self, monkeypatch):
+        from repro.experiments import context
+
+        builds = collections.Counter()
+
+        def slowed(kind, build, delay_s):
+            def wrapper(network, *args, **kwargs):
+                builds[kind, network.name] += 1
+                time.sleep(delay_s)  # widen the check-then-build window
+                return build(network, *args, **kwargs)
+            return wrapper
+
+        for kind, delay_s in (
+            ("init_weights", 0.2),
+            ("IncrementalForwardEngine", 0.05),
+            ("prune_conv_weights", 0.05),
+        ):
+            monkeypatch.setattr(
+                context, kind, slowed(kind, getattr(context, kind), delay_s)
+            )
+        repo = ModelRepository(
+            ServeConfig(networks=SERVE_NETWORKS, use_cache=False).paper_config()
+        )
+        requests = [
+            ServeRequest(
+                id=f"{network}-{i}", kind="timing", network=network,
+                image_seed=i, backend="scnn", thresholds=thresholds,
+            )
+            for network in SERVE_NETWORKS
+            for i, thresholds in enumerate((None, {"conv2": 0.02}))
+        ]
+        barrier = threading.Barrier(len(requests))
+
+        def first_request(request):
+            barrier.wait(timeout=30)
+            return execute_batch(repo, [request])
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads as often as possible
+        try:
+            with ThreadPoolExecutor(len(requests)) as pool:
+                answers = list(pool.map(first_request, requests))
+        finally:
+            sys.setswitchinterval(interval)
+        assert all(resp.status == "ok" for [resp] in answers)
+        assert builds == {
+            (kind, network): 1
+            for kind in ("init_weights", "IncrementalForwardEngine",
+                         "prune_conv_weights")
+            for network in SERVE_NETWORKS
+        }
+        for network in SERVE_NETWORKS:
+            assert repo.engine(network).store is repo.entry(network).store
 
 
 class TestRequestSchema:
@@ -519,8 +767,8 @@ class TestTcpServer:
     ):
         """Each malformed line gets one error reply, and the well-formed
         request after them is still served: a bad threshold value that
-        reached the micro-batcher would kill the dispatch loop and hang
-        every later request."""
+        reached the micro-batcher would fail there instead of answering
+        an error."""
         timing = {"kind": "timing", "network": "alex", "image_seed": 3}
         docs = _serve_lines(tmp_path, [
             {"id": "b0", **timing, "thresholds": {"conv2": "abc"}},
