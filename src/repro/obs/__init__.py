@@ -13,14 +13,8 @@ Zero-dependency tracing + metrics, wired through every hot path:
   merge into the parent and land in the run manifest (schema v3).
 * :mod:`repro.obs.report` — the ``repro-obs report`` CLI (and the
   runner's ``--metrics`` flag): self-time breakdowns per layer, network,
-  and experiment plus cache/retry summaries from any saved manifest.
-* :mod:`repro.obs.timeseries` — the live telemetry plane: windowed
-  per-source aggregation of metric deltas (pulled from shards, or
-  local sampler ticks) with high-watermark gauges.
-* :mod:`repro.obs.slo` — declared latency/error/shed objectives,
-  evaluated into ``slo.*`` gauges and burn-rate counters.
-* :mod:`repro.obs.expo` — Prometheus text exposition of any snapshot
-  (histogram buckets straight from the quantile sketch) plus a linter.
+  and experiment plus cache/retry summaries from any saved manifest or
+  ``repro-serve loadgen --json`` report, serving p50/p95/p99 included.
 
 Instrumentation never perturbs results: spans and metrics only observe,
 and the golden-snapshot tests pin byte-identical output with tracing on
@@ -37,8 +31,6 @@ from repro.obs.metrics import (
     merge_snapshot,
     observe,
     reset_metrics,
-    sketch_boundary,
-    sketch_index,
     take_snapshot,
 )
 from repro.obs.trace import (
@@ -77,6 +69,4 @@ __all__ = [
     "observe",
     "take_snapshot",
     "merge_snapshot",
-    "sketch_index",
-    "sketch_boundary",
 ]

@@ -208,7 +208,7 @@ class MetricsRegistry:
 
         Name the gauge with a ``.max`` suffix — snapshot merges combine
         ``.max`` gauges by maximum (not last-wins), so a watermark
-        survives being merged across processes and telemetry windows.
+        survives being merged across processes.
         """
         value = float(value)
         with self._lock:

@@ -31,15 +31,14 @@ metrics snapshot the run serialized (see :mod:`repro.obs.metrics`):
   canary probes, injected weight flips, and stale arenas swept;
 * a backend-activity table (``activity.*`` gauges, when present): the
   per-(backend, network) activity-counter profile every timing
-  simulator publishes, labelled with registry backend names;
-* an SLO summary (``slo.*``, when present): declared objective targets
-  vs observed values, error-budget burn rates, breach counts, and the
-  router health line (live shards, deaths/respawns, quarantines, queue
-  depth high watermark).
+  simulator publishes, labelled with registry backend names.
 
 Serving latency lines include p50/p95/p99 wherever the manifest's
 histograms carry the quantile sketch (v4+); pre-sketch manifests keep
-their mean/max lines.
+their mean/max lines.  A ``repro-serve loadgen --json`` report renders
+the same way: its ``metrics`` snapshot is taken after the service
+stopped, so with ``--shards`` it holds every shard's counts, pulled once
+at stop.
 
 The experiment runner's ``--metrics`` flag prints the same report for
 the run it just finished.
@@ -304,39 +303,6 @@ def metrics_report(manifest: dict, top: int = 15) -> str:
             f"{counters.get('integrity.arena.swept', 0):.0f}"
         )
 
-    slo_names = sorted(
-        name[len("slo."):-len(".value")]
-        for name in gauges
-        if name.startswith("slo.") and name.endswith(".value")
-    )
-    if slo_names:
-        slo_rows = []
-        for name in slo_names:
-            burn = gauges.get(f"slo.{name}.burn_rate", 0.0)
-            slo_rows.append(
-                {
-                    "objective": name,
-                    "value": gauges.get(f"slo.{name}.value", 0.0),
-                    "target": gauges.get(f"slo.{name}.target", 0.0),
-                    "burn_rate": burn,
-                    "breaches": int(
-                        counters.get(f"slo.{name}.breaches", 0)
-                    ),
-                    "status": "ok" if burn <= 1.0 else "BURNING",
-                }
-            )
-        parts.append("\n-- slo --")
-        parts.append(_format_table(slo_rows))
-        parts.append(
-            f"health: live shards "
-            f"{gauges.get('router.live_shards', 0):.0f}; "
-            f"deaths {counters.get('router.deaths', 0):.0f}, "
-            f"respawns {counters.get('router.respawns', 0):.0f}, "
-            f"quarantines {counters.get('integrity.quarantines', 0):.0f}; "
-            f"queue depth max "
-            f"{gauges.get('serve.queue_depth.max', 0):.0f}"
-        )
-
     activity: dict[tuple[str, str], dict[str, float]] = {}
     for name, value in gauges.items():
         if not name.startswith("activity."):
@@ -393,7 +359,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(prog="repro-obs", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
     report = sub.add_parser("report", help="summarize a run manifest")
-    report.add_argument("manifest", help="run manifest JSON (schema v2 or v3)")
+    report.add_argument("manifest", help="run manifest JSON (schema v4)")
     report.add_argument(
         "--top", type=int, default=15,
         help="rows per breakdown table (default 15)",

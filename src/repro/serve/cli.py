@@ -20,21 +20,13 @@ an in-process service.
         repro-serve loadgen --requests 50 --scale tiny \\
             --networks alex,cnnS --deterministic --json serve-report.json
 
-``top``
-    Terminal dashboard polling a running admin endpoint
-    (``repro-serve top --port <admin-port>``): rolling-window
-    throughput, p50/p95/p99 per source, SLO burn rates, shard health.
-
-Live telemetry: ``--telemetry-interval S`` (default 1s) samples local
-metrics — and, with ``--shards``, pulls each shard's metric delta over
-its control socket — into a rolling window; ``--admin-port PORT``
-exposes it over HTTP as ``/stats`` (JSON), ``/metrics`` (Prometheus
-text exposition), ``/slo``, and ``/healthz``; ``--slo SPEC`` overrides
-the declared objectives.
+    The report's ``metrics`` snapshot is taken after the service
+    stopped (with ``--shards``, after the router's one pull of every
+    shard's counts), and ``repro-obs report serve-report.json`` renders
+    it: request outcomes, batch sizes and latency p50/p95/p99.
 
 Both ``serve`` and ``loadgen`` accept ``--shards N`` to run the sharded
-tier instead
-of a single in-process service: N shard processes behind a
+tier instead of a single in-process service: N shard processes behind a
 consistent-hash router with shared-memory weights, failover, and
 respawn (see :mod:`repro.serve.router`).  ``loadgen --sweep-groups K``
 switches to the sweep workload (probe requests cycling over K
@@ -58,9 +50,9 @@ The integrity flags override this process's and every shard's settings
 the shards' only.
 
 Each flag that configures the service, the shard tier, the forward
-retry policy, telemetry or the settings is checked while the arguments
-are parsed, by the object that holds its value (:class:`ServeConfig`,
-:class:`ShardTierConfig`, :class:`RetryPolicy`, the SLO parser,
+retry policy or the settings is checked while the arguments are
+parsed, by the object that holds its value (:class:`ServeConfig`,
+:class:`ShardTierConfig`, :class:`RetryPolicy`,
 :class:`~repro.settings.Settings`): junk exits 2, naming the flag,
 before anything is built or started.
 
@@ -81,9 +73,7 @@ from repro import settings
 from repro.argtypes import checked, field
 from repro.nn import blas
 from repro.nn.models import network_names
-from repro.obs.slo import parse_slo_spec
 from repro.reliability import RetryPolicy
-from repro.serve.admin import AdminServer
 from repro.serve.loadgen import (
     build_requests,
     build_sweep_requests,
@@ -98,7 +88,6 @@ from repro.serve.requests import (
 )
 from repro.serve.router import ShardedService, ShardTierConfig
 from repro.serve.service import InferenceService, ServeConfig
-from repro.serve.telemetry import TelemetryController
 
 __all__ = ["main"]
 
@@ -186,22 +175,6 @@ def _add_service_args(parser: argparse.ArgumentParser) -> None:
                         "(raise to ride out shard quarantine/respawn)")
     parser.add_argument("--forward-backoff", type=float, default=None,
                         metavar="S", help="router forward retry backoff cap")
-    parser.add_argument("--admin-port", type=int, default=None, metavar="PORT",
-                        help="serve live telemetry over HTTP: /stats (JSON), "
-                        "/metrics (Prometheus text), /slo, /healthz "
-                        "(0 picks a free port)")
-    parser.add_argument("--admin-host", default="127.0.0.1",
-                        help="admin endpoint bind address (default loopback)")
-    parser.add_argument("--telemetry-interval", default=1.0,
-                        type=field(ShardTierConfig, "telemetry_interval_s",
-                                    float, off=0.0),
-                        metavar="S", help="seconds between local telemetry "
-                        "samples and the router's pulls of each shard's "
-                        "metric delta (0 disables live telemetry)")
-    parser.add_argument("--slo", type=checked(parse_slo_spec), default=None,
-                        metavar="SPEC", help="SLO overrides, comma-separated: "
-                        "latency_p99_ms=<ms>,error_rate=<frac>,"
-                        "shed_rate=<frac>")
 
 
 def _service_config(args) -> ServeConfig:
@@ -245,7 +218,6 @@ def _build_service(args, trace: bool = False):
             process, engine_cache_mb=args.shard_cache_mb, trace=trace or None
         ),
         canary_interval_s=args.canary_interval,
-        telemetry_interval_s=args.telemetry_interval or None,
     )
     policy = None
     if args.forward_attempts is not None or args.forward_backoff is not None:
@@ -264,58 +236,10 @@ def _build_service(args, trace: bool = False):
     return ShardedService(config, tier=tier, policy=policy)
 
 
-def _telemetry_controller(service, args) -> TelemetryController | None:
-    """The service's telemetry controller per the CLI flags, not started.
-
-    The controller samples the local registry on ``--telemetry-interval``
-    and — for the sharded tier — shares the router's
-    :class:`~repro.obs.timeseries.TelemetryPlane`, so pulled shard
-    deltas and local samples land in one windowed view.
-    """
-    if not args.telemetry_interval and args.admin_port is None:
-        return None
-    plane = getattr(service, "telemetry", None)
-    return TelemetryController(
-        plane=plane,
-        interval_s=args.telemetry_interval or 1.0,
-        source="router" if plane is not None else "service",
-        objectives=args.slo,
-    )
-
-
-async def _start_telemetry(controller, args):
-    """Start ``controller`` (if any) for a started service; returns the
-    admin server, which only exists under ``--admin-port``."""
-    if controller is None:
-        return None
-    controller.start()
-    if args.admin_port is None:
-        return None
-    admin = AdminServer(controller, host=args.admin_host, port=args.admin_port)
-    await admin.start()
-    print(
-        f"repro-serve admin on http://{args.admin_host}:{admin.port} "
-        f"(/stats /metrics /slo /healthz)",
-        flush=True,
-    )
-    return admin
-
-
-async def _stop_telemetry(controller, admin) -> None:
-    """Tear telemetry down — call *before* ``service.stop()`` so the
-    final local sample precedes the shard-metrics fold (see
-    :mod:`repro.serve.telemetry` on stop ordering)."""
-    if admin is not None:
-        await admin.stop()
-    if controller is not None:
-        await controller.stop()
-
-
 async def _serve_async(args) -> int:
     service = _build_service(args)
-    controller = _telemetry_controller(service, args)
     await service.start()
-    admin = server = None
+    server = None
     waiters: list[asyncio.Task] = []
     served = 0
     done = asyncio.Event()
@@ -371,7 +295,6 @@ async def _serve_async(args) -> int:
             writer.close()
 
     try:
-        admin = await _start_telemetry(controller, args)
         server = await asyncio.start_server(_handle, args.host, args.port)
         ports = [sock.getsockname()[1] for sock in server.sockets]
         print(f"repro-serve listening on {args.host}:{ports[0]} "
@@ -400,7 +323,6 @@ async def _serve_async(args) -> int:
                 writer.close()
             except Exception:  # pragma: no cover - already-dead transport
                 pass
-        await _stop_telemetry(controller, admin)
         await service.stop()
         if stopping.is_set():
             print(f"repro-serve drained after {served} requests", flush=True)
@@ -432,11 +354,8 @@ async def _loadgen_async(args) -> int:
             seed=args.seed,
             deadline_ms=args.deadline_ms,
         )
-    controller = _telemetry_controller(service, args)
     await service.start()
-    admin = None
     try:
-        admin = await _start_telemetry(controller, args)
         result = await run_load(
             service, requests, rate=args.rate, seed=args.seed
         )
@@ -446,16 +365,7 @@ async def _loadgen_async(args) -> int:
                 service, requests, result
             )
     finally:
-        await _stop_telemetry(controller, admin)
         await service.stop()
-    if controller is not None:
-        # Post-stop: the final sample and the shard fold both landed, so
-        # this is the whole run's SLO verdict (and it re-records the
-        # slo.* gauges over the complete totals for the --json report).
-        statuses = controller.tracker.record(
-            obs.get_metrics().snapshot(), obs.get_metrics()
-        )
-        summary["slo"] = [status.to_dict() for status in statuses]
     print(json.dumps(summary, indent=2))
     if args.json:
         report = {
@@ -487,89 +397,6 @@ async def _loadgen_async(args) -> int:
         print(f"wrote trace {args.trace} ({written} events)")
     failed = summary["error"] or summary.get("byte_mismatches", 0)
     return 1 if failed else 0
-
-
-def _fetch_stats(url: str) -> dict:
-    from urllib.request import urlopen
-
-    with urlopen(url, timeout=5.0) as response:
-        return json.loads(response.read().decode("utf-8"))
-
-
-def _render_top(stats: dict) -> str:
-    """One terminal frame of the live stats payload."""
-    def digest_line(label: str, digest: dict | None) -> str:
-        digest = digest or {}
-        return (
-            f"{label:<12} p50 {digest.get('p50', 0.0):>9.2f}  "
-            f"p95 {digest.get('p95', 0.0):>9.2f}  "
-            f"p99 {digest.get('p99', 0.0):>9.2f}  "
-            f"max {digest.get('max', 0.0):>9.2f}  "
-            f"n {digest.get('count', 0):.0f}"
-        )
-
-    window = stats.get("window", {})
-    health = stats.get("health", {})
-    lines = [
-        f"cnvlutin serving — up {stats.get('uptime_s', 0.0):.0f}s, "
-        f"window {window.get('span_s', 0.0):.1f}s @ "
-        f"{window.get('throughput_rps', 0.0):.1f} rps, "
-        f"shards {health.get('live_shards', 0)} live / "
-        f"{health.get('reporting_shards', 0)} reporting, "
-        f"deaths {health.get('deaths', 0)}, "
-        f"respawns {health.get('respawns', 0)}, "
-        f"quarantines {health.get('quarantines', 0)}",
-        "",
-        "latency (ms)",
-        digest_line("  total", stats.get("latency_ms")),
-        digest_line("  window", window.get("latency_ms")),
-        "",
-        "sources",
-    ]
-    for name, info in sorted(stats.get("sources", {}).items()):
-        digest = info.get("latency_ms") or {}
-        mode = "local" if info.get("local") else "pull"
-        lines.append(
-            f"  {name:<10} {mode:<6} age {info.get('age_s', 0.0):>6.1f}s  "
-            f"req {info.get('requests', 0.0):>9.0f}  "
-            f"p50 {digest.get('p50', 0.0):>9.2f}  "
-            f"p99 {digest.get('p99', 0.0):>9.2f}"
-        )
-    slo = stats.get("slo", [])
-    if slo:
-        lines.append("")
-        lines.append("slo")
-        for status in slo:
-            verdict = "ok" if status.get("healthy") else "BURNING"
-            lines.append(
-                f"  {status.get('name', '?'):<16} {verdict:<8} "
-                f"value {status.get('value', 0.0):<12.4g} "
-                f"target {status.get('target', 0.0):<12.4g} "
-                f"burn {status.get('burn_rate', 0.0):.2f}"
-            )
-    watermarks = stats.get("watermarks", {})
-    depth = watermarks.get("serve.queue_depth.max")
-    if depth is not None:
-        lines.append("")
-        lines.append(f"queue depth high watermark: {depth:.0f}")
-    return "\n".join(lines)
-
-
-async def _top_async(args) -> int:
-    url = f"http://{args.host}:{args.port}/stats"
-    while True:
-        try:
-            stats = await asyncio.to_thread(_fetch_stats, url)
-        except (OSError, ValueError) as exc:
-            print(f"error: cannot read {url}: {exc}", file=sys.stderr)
-            return 2
-        frame = _render_top(stats)
-        if args.once:
-            print(frame)
-            return 0
-        # ANSI clear + home: a cheap full-screen refresh, like top(1).
-        print(f"\x1b[2J\x1b[H{frame}", flush=True)
-        await asyncio.sleep(args.interval)
 
 
 async def _verify_bytes(service, requests, result) -> int:
@@ -634,18 +461,6 @@ def main(argv: list[str] | None = None) -> int:
                          help="record spans and write a Chrome trace")
     _add_service_args(loadgen)
     loadgen.set_defaults(runner=_loadgen_async)
-
-    top = sub.add_parser(
-        "top", help="terminal view polling a running admin endpoint"
-    )
-    top.add_argument("--host", default="127.0.0.1")
-    top.add_argument("--port", type=int, required=True,
-                     help="admin endpoint port (--admin-port of the server)")
-    top.add_argument("--interval", type=float, default=2.0,
-                     help="refresh period in seconds")
-    top.add_argument("--once", action="store_true",
-                     help="print one frame and exit (no screen clearing)")
-    top.set_defaults(runner=_top_async)
 
     args = parser.parse_args(argv)
     return asyncio.run(args.runner(args))

@@ -50,11 +50,11 @@ Observability: ``router.requests`` / ``router.forwarded`` (+
 ``router.failovers`` / ``router.deaths`` / ``router.respawns``
 counters, a ``router.live_shards`` gauge, a ``router.forward_ms``
 histogram, and a ``router.forward`` span per attempt.  Shard metrics
-arrive only by the router's ``op: obs`` pull: a metric delta plus the
-shard's trace buffer (one Chrome trace then shows router and shard time
-across pids on a single timeline).  It pulls into the windowed
-:class:`TelemetryPlane` every ``telemetry_interval_s``, and into the
-global registry in :meth:`ShardedService.collect_obs`.  Integrity adds
+arrive only by the router's ``op: obs`` pull in
+:meth:`ShardedService.collect_obs`, which ``stop()`` calls once after
+the last request resolves: a metric delta merged into the global
+registry plus the shard's trace buffer (one Chrome trace then shows
+router and shard time across pids on a single timeline).  Integrity adds
 ``integrity.detected.<crc|abft|canary>``, ``integrity.quarantines`` (+
 ``.<reason>``), ``integrity.republishes``, ``integrity.canary.probes``
 and ``integrity.arena.swept`` — all counted router-side, because a
@@ -76,7 +76,6 @@ from repro import obs, settings
 from repro.experiments.context import ExperimentContext
 from repro.nn import blas
 from repro.nn.shm import SharedWeightArena, sweep_stale_arenas
-from repro.obs.timeseries import TelemetryPlane
 from repro.reliability import (
     FaultInjector,
     InjectedFault,
@@ -119,10 +118,6 @@ class ShardTierConfig:
     #: response bytes probed on every live shard); None disables the
     #: background loop — ``run_canary()`` can still be called directly.
     canary_interval_s: float | None = None
-    #: Seconds between the router's ``op: obs`` pulls of every shard's
-    #: metric delta into :attr:`ShardedService.telemetry` (None = no
-    #: live telemetry; the stop-time pull remains the only hand-off).
-    telemetry_interval_s: float | None = None
 
     def __post_init__(self) -> None:
         if self.shards < 1:
@@ -131,10 +126,9 @@ class ShardTierConfig:
             raise ValueError("window must be >= 1")
         if self.backlog < 0:
             raise ValueError("backlog must be >= 0")
-        for name in ("canary_interval_s", "telemetry_interval_s"):
-            interval = getattr(self, name)
-            if interval is not None and not interval > 0:
-                raise ValueError(f"{name} must be > 0 (or None)")
+        interval = self.canary_interval_s
+        if interval is not None and not interval > 0:
+            raise ValueError("canary_interval_s must be > 0 (or None)")
 
 
 class _ShardClient:
@@ -296,10 +290,6 @@ class ShardedService:
         #: This process's BLAS count, decided in start() and shipped in
         #: every shard spec (respawns included).
         self._blas_threads: int | None = None
-        # Always present (it stays empty unless telemetry_interval_s is
-        # set): the windowed aggregation of pulled shard deltas the
-        # admin endpoint reads.
-        self.telemetry = TelemetryPlane()
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -364,8 +354,6 @@ class ShardedService:
         obs.gauge_set("router.live_shards", len(self._clients))
         if self.tier.canary_interval_s is not None:
             self._in_background(self._canary_loop())
-        if self.tier.telemetry_interval_s is not None:
-            self._in_background(self._telemetry_loop())
 
     def _in_background(self, coro) -> None:
         """Run ``coro`` as a task that ``stop()`` cancels and awaits."""
@@ -389,12 +377,10 @@ class ShardedService:
         for task in list(self._background):
             task.cancel()
         await asyncio.gather(*self._background, return_exceptions=True)
-        # The periodic pulls (ended above, an in-flight one completed)
-        # fed only the windowed plane; the final pull ships each shard's
-        # residual to the global registry, and the fold adds the plane's
-        # shard totals — every delta a shard handed over, exactly once.
+        # The one hand-off: each shard's counts since the last pull (since
+        # start, unless the caller pulled mid-run) reach the global
+        # registry before the shards are told to shut down.
         await self.collect_obs()
-        self.telemetry.fold_into(obs.get_metrics())
         for client in self._clients.values():
             if client.alive:
                 try:
@@ -727,11 +713,11 @@ class ShardedService:
     # ------------------------------------------------------------------
     # observability
     # ------------------------------------------------------------------
-    async def _pull_obs(self, sink) -> int:
-        """Send ``op: obs`` to every live shard: ``sink("shard<i>",
-        delta)`` takes each metric delta (the shard resets as it
-        answers), the span events join this process's trace buffer.
-        Returns the number of shards that answered."""
+    async def collect_obs(self) -> int:
+        """Send ``op: obs`` to every live shard and merge each metric
+        delta (the shard resets as it answers) into this process's
+        global registry; the span events join this process's trace
+        buffer.  Returns the number of shards that answered."""
         answered = 0
         for client in list(self._clients.values()):
             if not client.alive:
@@ -740,29 +726,7 @@ class ShardedService:
                 envelope = await client.call({"op": "obs"}, timeout_s=10.0)
             except (ShardDead, TimeoutError, asyncio.TimeoutError):
                 continue
-            sink(f"shard{client.index}", envelope.get("metrics") or {})
+            obs.merge_snapshot(envelope.get("metrics") or {})
             obs.extend_events(envelope.get("events") or [])
             answered += 1
         return answered
-
-    async def collect_obs(self) -> int:
-        """Pull every live shard's metrics + trace buffer into this
-        process's global registry.  Returns the number of shards that
-        answered."""
-        return await self._pull_obs(
-            lambda source, delta: obs.merge_snapshot(delta)
-        )
-
-    async def _telemetry_loop(self) -> None:
-        """Pull every shard's delta into the windowed plane each
-        ``telemetry_interval_s``."""
-        while True:
-            await asyncio.sleep(self.tier.telemetry_interval_s)
-            pull = asyncio.create_task(self._pull_obs(self.telemetry.ingest))
-            try:
-                await asyncio.shield(pull)
-            except asyncio.CancelledError:
-                # A shard resets as it answers: a pull already sent
-                # must land in the plane before stop() folds it.
-                await pull
-                raise

@@ -38,8 +38,8 @@ Wire protocol (one JSON object per line, each direction)::
 
 ``op: obs`` is the one metrics message: the reply carries the metric
 *delta* since the previous one (snapshot-and-reset) and the drained span
-buffer.  The router sends it every ``telemetry_interval_s`` when live
-telemetry is on, and once more at stop.
+buffer.  The router sends it from ``collect_obs()``, which its
+``stop()`` calls once before ``shutdown``.
 
 Fault sites: every request envelope passes through
 ``injector.fire("shard:serve", trial=None)`` — the *global* trial

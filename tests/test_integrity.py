@@ -180,8 +180,6 @@ class TestExplicitJunk:
         ("--integrity", "bogus"),
         ("--integrity-recheck-s", "-1"),
         ("--shard-cache-mb", "-5"),
-        ("--telemetry-interval", "-1"),
-        ("--slo", "bogus"),
         ("--rate", "0"),
         ("--max-batch", "0"),
         ("--shards", "-1"),
@@ -212,7 +210,6 @@ class TestExplicitJunk:
             ShardTierConfig(settings=Settings(integrity="bogus"))
 
     @pytest.mark.parametrize("field,value", [
-        ("telemetry_interval_s", 0),
         ("canary_interval_s", -1),
     ])
     def test_shard_tier_interval_must_be_positive(self, field, value):

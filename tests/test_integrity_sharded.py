@@ -267,9 +267,8 @@ class TestGracefulDrain:
             port = int(re.search(r":(\d+) ", banner).group(1))
             with socket.create_connection(
                 ("127.0.0.1", port), timeout=30
-            ) as sock:
+            ) as sock, sock.makefile("r") as reader:
                 sock.settimeout(60)
-                reader = sock.makefile("r")
                 for index in range(4):
                     sock.sendall(
                         (json.dumps({
@@ -292,3 +291,5 @@ class TestGracefulDrain:
             if proc.poll() is None:
                 proc.kill()
                 proc.wait()
+            proc.stdout.close()
+            proc.stderr.close()

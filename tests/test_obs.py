@@ -4,17 +4,23 @@ Covers the observability contract: spans nest and export as valid Chrome
 trace-event JSON, disabled tracing is a true no-op, worker-recorded
 spans merge into the parent trace with their own pids, metrics snapshots
 merge with the documented semantics (counters/histograms sum, gauges
-last-wins), and — the part that guards the paper numbers — instrumented
-runs produce byte-identical results to uninstrumented ones, with and
-without injected faults.
+last-wins, ``.max`` gauges by maximum), the fixed-boundary log-bucket
+quantile sketch answers p50/p95/p99 within one ~9% bucket step and
+merges exactly (associative and commutative, Hypothesis-checked), and —
+the part that guards the paper numbers — instrumented runs produce
+byte-identical results to uninstrumented ones, with and without injected
+faults.
 """
 
+import asyncio
 import json
 import sys
 import threading
 import warnings
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import repro.settings
 from repro import obs
@@ -23,10 +29,23 @@ from repro.experiments.manifest import RunManifest, UnitRecord
 from repro.experiments.report import results_to_json_doc
 from repro.experiments.runner import run_all_with_manifest
 from repro.obs import trace
-from repro.obs.metrics import Histogram, MetricsRegistry, sketch_index
+from repro.obs.metrics import (
+    Histogram,
+    MetricsRegistry,
+    sketch_boundary,
+    sketch_index,
+)
 from repro.obs.report import main as obs_main
 from repro.obs.report import metrics_report
 from repro.reliability import RetryPolicy
+from repro.serve import (
+    InferenceService,
+    ServeConfig,
+    build_requests,
+    percentile,
+    run_load,
+    summarize,
+)
 
 
 def tiny_config(tmp_path, **overrides):
@@ -234,6 +253,197 @@ class TestMetricsRegistry:
         assert not any(worker.is_alive() for worker in workers)
         seen += obs.take_snapshot()["counters"].get("work.done", 0.0)
         assert seen == per_thread * len(workers)
+
+
+class TestQuantileSketch:
+    def test_boundaries_bracket_every_observation(self):
+        for value in (1e-6, 0.003, 1.0, 7.5, 1234.5, 1e15):
+            index = sketch_index(value)
+            assert sketch_boundary(index) >= value or index == 384
+            if -96 < index <= 384:
+                assert sketch_boundary(index - 1) < value
+
+    def test_quantiles_within_one_bucket_step(self):
+        histogram = Histogram()
+        values = [0.5 + 0.01 * i for i in range(1000)]
+        for value in values:
+            histogram.observe(value)
+        for q in (50, 95, 99):
+            exact = percentile(sorted(values), q)
+            approx = histogram.quantile(q)
+            assert exact <= approx <= exact * 2 ** (1 / 8) + 1e-9
+
+    def test_quantiles_clamped_into_observed_range(self):
+        histogram = Histogram()
+        histogram.observe(7.0)
+        assert histogram.quantile(0) == 7.0
+        assert histogram.quantile(100) == 7.0
+        assert histogram.percentiles() == {"p50": 7.0, "p95": 7.0, "p99": 7.0}
+
+    def test_empty_histogram_quantile_is_zero(self):
+        assert Histogram().quantile(99) == 0.0
+        assert Histogram().percentiles()["p99"] == 0.0
+
+    def test_zero_and_negative_values_share_the_zero_bucket(self):
+        histogram = Histogram()
+        histogram.observe(0.0)
+        histogram.observe(-5.0)
+        histogram.observe(100.0)
+        assert histogram.quantile(50) == 0.0
+        assert histogram.min == -5.0  # extremes still exact
+        assert histogram.quantile(100) == 100.0
+
+    def test_to_dict_roundtrip_preserves_sketch(self):
+        histogram = Histogram()
+        for value in (0.1, 3.0, 3.1, 900.0):
+            histogram.observe(value)
+        clone = Histogram.from_dict(histogram.to_dict())
+        assert clone.count == histogram.count
+        assert clone.buckets == histogram.buckets
+        assert clone.quantile(99) == histogram.quantile(99)
+
+    def test_pre_sketch_payload_degrades_to_interpolation(self):
+        # A v3 manifest's histogram payload: no "buckets" key at all.
+        payload = {"count": 10, "total": 55.0, "min": 1.0, "max": 10.0}
+        histogram = Histogram.from_dict(payload)
+        assert histogram.count == 10
+        assert histogram.quantile(0) == 1.0
+        assert histogram.quantile(100) == 10.0
+        assert histogram.quantile(50) == pytest.approx(5.5)
+
+    def test_merge_dict_tolerates_junk_buckets(self):
+        histogram = Histogram()
+        histogram.merge_dict({
+            "count": 2, "total": 3.0, "min": 1.0, "max": 2.0,
+            "buckets": {"0": 1, "bogus": 1, "8": "2", "9": None},
+        })
+        assert histogram.buckets == {0: 1, 8: 2}
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        st.lists(
+            st.floats(
+                min_value=1e-3, max_value=1e6,
+                allow_nan=False, allow_infinity=False,
+            ),
+            min_size=1, max_size=40,
+        ),
+        st.lists(
+            st.floats(
+                min_value=1e-3, max_value=1e6,
+                allow_nan=False, allow_infinity=False,
+            ),
+            min_size=1, max_size=40,
+        ),
+        st.lists(
+            st.floats(
+                min_value=1e-3, max_value=1e6,
+                allow_nan=False, allow_infinity=False,
+            ),
+            min_size=1, max_size=40,
+        ),
+    )
+    def test_merge_is_associative_and_commutative(self, a, b, c):
+        def hist(values):
+            histogram = Histogram()
+            for value in values:
+                histogram.observe(value)
+            return histogram
+
+        def merged(order):
+            out = Histogram()
+            for values in order:
+                out.merge_dict(hist(values).to_dict())
+            return out
+
+        left = merged([a, b, c])
+        right = merged([c, a, b])
+        nested = Histogram()
+        inner = hist(b)
+        inner.merge_dict(hist(c).to_dict())
+        nested.merge_dict(hist(a).to_dict())
+        nested.merge_dict(inner.to_dict())
+        for other in (right, nested):
+            assert left.buckets == other.buckets
+            assert left.count == other.count
+            for q in (50, 95, 99):
+                assert left.quantile(q) == other.quantile(q)
+
+
+class TestSnapshotMergeEdgeCases:
+    def test_empty_histogram_payload_merges_as_noop(self):
+        registry = MetricsRegistry()
+        registry.observe("h", 2.0)
+        registry.merge_snapshot({
+            "histograms": {"h": Histogram().to_dict()},
+        })
+        snapshot = registry.snapshot()
+        assert snapshot["histograms"]["h"]["count"] == 1
+        assert snapshot["histograms"]["h"]["min"] == 2.0
+
+    def test_gauge_last_wins_across_three_processes(self):
+        parent = MetricsRegistry()
+        for value in (3.0, 9.0, 5.0):  # three workers report in order
+            worker = MetricsRegistry()
+            worker.gauge_set("serve.queue_depth", value)
+            worker.gauge_max("serve.queue_depth.max", value)
+            parent.merge_snapshot(worker.snapshot())
+        gauges = parent.snapshot()["gauges"]
+        assert gauges["serve.queue_depth"] == 5.0  # last statement wins
+        assert gauges["serve.queue_depth.max"] == 9.0  # watermark survives
+
+    def test_gauge_max_never_shrinks_locally(self):
+        registry = MetricsRegistry()
+        registry.gauge_max("d.max", 4.0)
+        registry.gauge_max("d.max", 2.0)
+        assert registry.snapshot()["gauges"]["d.max"] == 4.0
+
+    def test_pre_sketch_manifest_renders_report(self):
+        # A v3 manifest (histograms without buckets) must keep loading
+        # and rendering — without quantile lines, without crashing.
+        manifest = {
+            "version": 3,
+            "scale": "tiny",
+            "jobs": 1,
+            "wall_seconds": 1.0,
+            "units": [],
+            "cache": {},
+            "metrics": {
+                "counters": {
+                    "serve.requests": 4.0, "serve.completed": 4.0,
+                },
+                "gauges": {"serve.queue_depth": 1.0},
+                "histograms": {
+                    "serve.latency_ms": {
+                        "count": 4, "total": 40.0, "min": 5.0, "max": 15.0,
+                    },
+                    "serve.batch_size": {
+                        "count": 2, "total": 4.0, "min": 2.0, "max": 2.0,
+                    },
+                },
+            },
+        }
+        text = metrics_report(manifest)
+        assert "-- serving --" in text
+        assert "p99" not in text  # no sketch, no quantile claims
+        assert "queue depth last 1" in text
+
+    def test_sketchful_manifest_renders_percentiles_and_watermark(self):
+        registry = MetricsRegistry()
+        for index in range(20):
+            registry.counter_add("serve.requests")
+            registry.counter_add("serve.completed")
+            registry.observe("serve.latency_ms", 10.0 + index)
+            registry.observe("serve.batch_size", 4)
+        registry.gauge_set("serve.queue_depth", 2)
+        registry.gauge_max("serve.queue_depth.max", 17)
+        manifest = {
+            "version": 4, "scale": "tiny", "jobs": 1, "wall_seconds": 1.0,
+            "units": [], "cache": {}, "metrics": registry.snapshot(),
+        }
+        text = metrics_report(manifest)
+        assert "p50" in text and "p95" in text and "p99" in text
+        assert "queue depth last 2 (max 17)" in text
 
 
 class TestManifestSchema:
@@ -458,3 +668,51 @@ class TestObsReportCli:
         assert obs_main(["report", str(array)]) == 2
         err = capsys.readouterr().err
         assert "no such manifest" in err
+
+
+SERVE_NETWORKS = ("alex", "cnnS")
+
+
+@pytest.fixture
+def cache_dir(tmp_path):
+    return tmp_path
+
+
+def det_config() -> ServeConfig:
+    return ServeConfig(
+        scale="tiny", networks=SERVE_NETWORKS, deterministic=True,
+        queue_limit=256,
+    )
+
+
+class TestLoadgenPercentiles:
+    def test_summary_percentiles_crosscheck_server_sketch(self, cache_dir):
+        async def _go():
+            service = InferenceService(det_config(), cache_dir=cache_dir)
+            await service.start()
+            try:
+                requests = build_requests(
+                    24, networks=list(SERVE_NETWORKS), seed=5
+                )
+                result = await run_load(service, requests)
+            finally:
+                await service.stop()
+            return result
+
+        result = asyncio.run(_go())
+        summary = summarize(result)
+        assert summary["ok"] == 24
+        assert set(summary["latency_ms"]) >= {"p50", "p95", "p99", "max"}
+        payload = obs.get_metrics().snapshot()["histograms"][
+            "serve.latency_ms"
+        ]
+        sketch = Histogram.from_dict(payload)
+        assert sketch.count == 24
+        # Same observations, same nearest-rank definition: the sketch
+        # may only round a quantile *up*, by at most one ~9% bucket
+        # (1e-3 slack: the summary rounds to three decimals).
+        for q in (50, 95, 99):
+            exact = summary["latency_ms"][f"p{q}"]
+            approx = sketch.quantile(q)
+            assert exact <= approx + 1e-3
+            assert approx <= exact * 2 ** (1 / 8) + 1e-3

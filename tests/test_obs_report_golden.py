@@ -3,8 +3,8 @@
 The report renderer is the operator-facing view of every metric
 namespace the repo emits (engine cache, artifact cache, per-layer
 forward time, retries/faults, the ``serve.*`` serving summary with
-sketch quantiles, the sharded-router summary, and the ``slo.*``
-objective table).  A hand-written schema-v4 manifest fixture exercises
+sketch quantiles, the sharded-router summary, and the backend activity
+table).  A hand-written schema-v4 manifest fixture exercises
 every section at once; this test pins the rendered text byte for byte
 so formatting or aggregation drift is a deliberate, reviewed change.
 
@@ -62,7 +62,6 @@ def test_report_covers_every_section():
         "-- caches --",
         "-- serving --",
         "-- sharded serving --",
-        "-- slo --",
         "-- backend activity --",
         "-- retries / faults --",
     ):
@@ -72,7 +71,6 @@ def test_report_covers_every_section():
     # v4 sketch quantiles and the queue-depth watermark render too.
     assert "p50" in text and "p99" in text
     assert "queue depth last 3 (max 11)" in text
-    assert "BURNING" in text
     # Backend activity rows resolve architectures through the registry
     # and render scientific-notation event counts.
     assert "cnvlutin2" in text and "scnn" in text

@@ -594,6 +594,30 @@ class TestCutRule:
         assert "unrecognized arguments: --linger-ms" in capsys.readouterr().err
 
 
+class TestTelemetrySurfaceIsGone:
+    """The live telemetry plane's flags and its ``top`` subcommand were
+    removed: each exits 2 at argument parsing, before anything starts."""
+
+    @pytest.mark.parametrize("argv,error", [
+        (["loadgen", "--telemetry-interval", "1"],
+         "unrecognized arguments: --telemetry-interval"),
+        (["loadgen", "--admin-port", "0"],
+         "unrecognized arguments: --admin-port"),
+        (["loadgen", "--admin-host", "127.0.0.1"],
+         "unrecognized arguments: --admin-host"),
+        (["loadgen", "--slo", "latency_p99_ms=1"],
+         "unrecognized arguments: --slo"),
+        (["top", "--port", "1"], "invalid choice: 'top'"),
+    ], ids=["telemetry-interval", "admin-port", "admin-host", "slo", "top"])
+    def test_removed_flag_exits_2(self, capsys, argv, error):
+        from repro.serve.cli import main
+
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        assert error in capsys.readouterr().err
+
+
 class TestSingleFlightBuilds:
     """Concurrent first requests share one build of each network, its
     engine and its pruned weights (the service calls the repository from
@@ -749,6 +773,8 @@ def _serve_lines(tmp_path, payloads: list[dict]) -> list[dict]:
         if proc.poll() is None:
             proc.kill()
             proc.wait()
+        proc.stdout.close()
+        proc.stderr.close()
 
 
 class TestTcpServer:

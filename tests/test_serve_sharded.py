@@ -14,6 +14,8 @@ repro.serve.shard / repro.nn.shm):
   to a replica with zero failed responses; a ``shard:serve=crash`` that
   hard-kills a shard mid-run still yields zero failed responses, the
   death is observed, and the shard is respawned.
+* **Hand-off**: every shard's counts reach the router's registry by
+  one ``op: obs`` pull at stop, exactly once.
 """
 
 from __future__ import annotations
@@ -320,6 +322,39 @@ class TestFailover:
         for response in result.responses.values():
             assert response.status == "error"
             assert "shard attempts failed" in response.payload["error"]
+
+
+class TestShardHandOffAtStop:
+    def test_hand_off_during_stop_lands_exactly_once(self, cache_dir):
+        # stop()'s one pull starts 0.3 s late, after the last request
+        # resolved: the shard's counts must still reach the global
+        # registry, exactly once.
+        obs.reset_metrics()
+        tier = ShardTierConfig(shards=1, backlog=256)
+        requests = build_requests(6, networks=list(SERVE_NETWORKS), seed=3)
+
+        async def _go():
+            service = ShardedService(
+                det_config(), tier=tier, cache_dir=cache_dir
+            )
+            collect = service.collect_obs
+
+            async def late_collect():
+                await asyncio.sleep(0.3)
+                return await collect()
+
+            service.collect_obs = late_collect
+            await service.start()
+            try:
+                return await run_load(service, requests)
+            finally:
+                await service.stop()
+
+        result = asyncio.run(_go())
+        assert all(r.status == "ok" for r in result.responses.values())
+        counters = obs.get_metrics().snapshot()["counters"]
+        for name in ("serve.completed", "serve.batches", "shard.requests"):
+            assert counters.get(name) == len(requests), name
 
 
 class TestRouterValidation:
