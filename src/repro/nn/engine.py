@@ -66,7 +66,9 @@ def attach_shared_weights(manifest: dict) -> dict[str, WeightStore]:
     SharedWeightArena`) — the stores a sharded serving worker hands to
     its engines so N shards share one physical copy of every weight.
     The views record ``engine.shared.attached`` so a metrics snapshot
-    shows which processes run on shared weights.
+    shows which processes run on shared weights, and the arena's size as
+    the ``engine.shared.bytes.max`` watermark gauge: merged shard
+    snapshots keep the one size, where a counter would sum it per attach.
     """
     from repro.nn.shm import SharedWeightArena
 
@@ -76,8 +78,8 @@ def attach_shared_weights(manifest: dict) -> dict[str, WeightStore]:
     # would run its close() finalizer against an exported buffer.
     _ATTACHED_ARENAS.append(arena)
     obs.counter_add("engine.shared.attached")
-    obs.counter_add(
-        "engine.shared.bytes", float(arena.manifest.get("bytes", 0))
+    obs.gauge_max(
+        "engine.shared.bytes.max", float(arena.manifest.get("bytes", 0))
     )
     return arena.stores
 

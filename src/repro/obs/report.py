@@ -36,9 +36,10 @@ metrics snapshot the run serialized (see :mod:`repro.obs.metrics`):
 Serving latency lines include p50/p95/p99 wherever the manifest's
 histograms carry the quantile sketch (v4+); pre-sketch manifests keep
 their mean/max lines.  A ``repro-serve loadgen --json`` report renders
-the same way: its ``metrics`` snapshot is taken after the service
-stopped, so with ``--shards`` it holds every shard's counts, pulled once
-at stop.
+the same way, under a header read from its ``config`` and ``summary``
+(scale, shards, wall time, requests): its ``metrics`` snapshot is taken
+after the service stopped, so with ``--shards`` it holds every shard's
+counts, pulled once at stop.
 
 The experiment runner's ``--metrics`` flag prints the same report for
 the run it just finished.
@@ -144,14 +145,24 @@ def metrics_report(manifest: dict, top: int = 15) -> str:
     histograms = metrics.get("histograms", {})
     cache = manifest.get("cache", {})
 
-    parts: list[str] = []
-    parts.append(
-        f"== obs report: scale={manifest.get('scale', '?')} "
-        f"jobs={manifest.get('jobs', '?')} "
-        f"wall={manifest.get('wall_seconds', 0.0):.1f}s "
-        f"units={len(units)} "
-        f"(manifest v{manifest.get('version', 1)}) =="
-    )
+    if "config" in manifest and "summary" in manifest:
+        # A repro-serve loadgen --json report: no units, no version.
+        config, summary = manifest["config"], manifest["summary"]
+        header = (
+            f"scale={config.get('scale', '?')} "
+            f"shards={config.get('shards') or 0} "
+            f"wall={summary.get('wall_s', 0.0):.1f}s "
+            f"requests={summary.get('requests', 0)} (loadgen report)"
+        )
+    else:
+        header = (
+            f"scale={manifest.get('scale', '?')} "
+            f"jobs={manifest.get('jobs', '?')} "
+            f"wall={manifest.get('wall_seconds', 0.0):.1f}s "
+            f"units={len(units)} "
+            f"(manifest v{manifest.get('version', 1)})"
+        )
+    parts: list[str] = [f"== obs report: {header} =="]
 
     if units:
         parts.append("\n-- self time by experiment (worst first) --")
@@ -270,7 +281,7 @@ def metrics_report(manifest: dict, top: int = 15) -> str:
             + f"max {forward_hist.get('max', 0.0):.1f} ms "
             f"(shared weights: "
             f"{counters.get('engine.shared.attached', 0):.0f} attach(es), "
-            f"{counters.get('engine.shared.bytes', 0) / 1e6:.1f} MB arena)"
+            f"{gauges.get('engine.shared.bytes.max', 0) / 1e6:.1f} MB arena)"
         )
         if per_shard:
             parts.append("\n".join(per_shard))

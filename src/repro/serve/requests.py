@@ -132,7 +132,9 @@ class ServeRequest:
         )
 
     def to_payload(self) -> dict:
-        """JSON-safe dict form (the wire format between router and shard)."""
+        """JSON-safe dict form: what :meth:`to_json` prints for the TCP
+        front end, and the dict the router pickles to a shard, which
+        validates it again through :meth:`from_payload`."""
         payload = {
             "id": self.id,
             "kind": self.kind,
@@ -228,11 +230,12 @@ class ServeResponse:
 
     @classmethod
     def from_payload(cls, payload: dict) -> "ServeResponse":
-        """Rebuild from the wire dict (``code`` is derived, not read).
+        """Rebuild from :meth:`to_payload`'s dict (``code`` is derived,
+        not read).
 
-        ``json`` round-trips floats ``repr``-exactly, so a response
-        reconstructed from a shard's reply is canonical-byte-identical
-        to the object the shard serialized.
+        A shard's reply crosses the hop pickled, so every float arrives
+        bit-exact and the rebuilt response is canonical-byte-identical
+        to the object the shard sent.
         """
         return cls(
             id=payload["id"],

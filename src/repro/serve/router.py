@@ -3,7 +3,10 @@
 :class:`ShardedService` presents the same submission surface as the
 in-process :class:`~repro.serve.service.InferenceService` (``start`` /
 ``try_submit`` / ``submit`` / ``drain`` / ``stop``) but fans work out to
-N :mod:`repro.serve.shard` worker processes:
+N :mod:`repro.serve.shard` worker processes, each over one unix
+socket that carries length-prefixed pickle frames
+(:func:`repro.serve.shard.encode_frame` / :func:`~repro.serve.shard.
+read_frame`; the shard module documents the envelopes):
 
 1. **Routing.** Requests are consistent-hashed on their
    ``(network, thresholds)`` key (:func:`repro.serve.hashring.
@@ -64,7 +67,6 @@ quarantined shard's own counters die with its process.
 from __future__ import annotations
 
 import asyncio
-import json
 import multiprocessing
 import shutil
 import tempfile
@@ -90,7 +92,7 @@ from repro.serve.requests import (
     canonical_response_bytes,
 )
 from repro.serve.service import ServeConfig
-from repro.serve.shard import ShardSpec, run_shard
+from repro.serve.shard import ShardSpec, encode_frame, read_frame, run_shard
 
 __all__ = ["ShardTierConfig", "ShardedService", "ShardDead"]
 
@@ -177,12 +179,11 @@ class _ShardClient:
         ) from last_error
 
     async def _read_loop(self, reader: asyncio.StreamReader) -> None:
+        # A frame that does not unpickle (BadFrame, a ValueError) ends
+        # the connection like a dead shard: its rid is unknown, so only
+        # failing every pending call keeps none waiting out its timeout.
         try:
-            while True:
-                line = await reader.readline()
-                if not line:
-                    break
-                envelope = json.loads(line)
+            while (envelope := await read_frame(reader)) is not None:
                 if "evt" in envelope:
                     # Unsolicited shard push (an integrity report); no
                     # rid, never resolves a pending call.
@@ -219,14 +220,14 @@ class _ShardClient:
         rid = self._rid
         future: asyncio.Future = asyncio.get_running_loop().create_future()
         self._pending[rid] = future
-        line = json.dumps({"rid": rid, **payload}).encode() + b"\n"
+        frame = encode_frame({"rid": rid, **payload})
         # One finally covers the write and the wait: a call cancelled
         # while queued on the lock or inside drain() must not leave a
         # future that a later _fail_pending fails with nobody awaiting it.
         try:
             try:
                 async with self._write_lock:
-                    self._writer.write(line)
+                    self._writer.write(frame)
                     await self._writer.drain()
             except (ConnectionError, OSError) as exc:
                 raise ShardDead(str(exc))
@@ -542,6 +543,9 @@ class ShardedService:
             obs.counter_add("router.forwarded")
             obs.counter_add(f"router.forwarded.shard{target}")
             if not future.done():
+                # Unpickled, never checked for JSON safety: the sharded
+                # differential tests put every response through
+                # canonical_response_bytes, which fails on such a value.
                 future.set_result(ServeResponse.from_payload(envelope["resp"]))
             return
 

@@ -2,9 +2,9 @@
 
 A *shard* is a full :class:`~repro.serve.service.InferenceService` —
 work-conserving micro-batcher, bounded backlog, worker pool, retry
-policy — running in
-its own process and speaking a JSON-lines envelope protocol over a unix
-domain socket to the router (:mod:`repro.serve.router`).  Because the
+policy — running in its own process and exchanging length-prefixed
+pickle frames over a unix domain socket with the router
+(:mod:`repro.serve.router`).  Because the
 router consistent-hashes on ``(network, thresholds)``, each shard sees a
 stable slice of the key space and its per-process
 :class:`~repro.nn.engine.IncrementalForwardEngine` LRU caches hold that
@@ -22,7 +22,9 @@ views (:func:`repro.nn.engine.attach_shared_weights`) before building
 its :class:`~repro.experiments.context.ExperimentContext` with preset
 stores — no per-shard ``init_weights``, no per-shard calibration.
 
-Wire protocol (one JSON object per line, each direction)::
+Wire protocol: each direction is a stream of frames, a 4-byte
+big-endian body length followed by the pickled envelope dict
+(:func:`encode_frame` / :func:`read_frame`)::
 
     → {"rid": 7, "req": {...ServeRequest payload...}}
     ← {"rid": 7, "resp": {...ServeResponse payload, "shard": i...}}
@@ -35,6 +37,14 @@ Wire protocol (one JSON object per line, each direction)::
     → {"rid": 9, "op": "obs"}               ← {"rid": 9, "metrics": ...,
                                                "events": [...]}
     → {"rid": 10, "op": "shutdown"}         ← {"rid": 10, "ok": true}
+
+Requests still cross as :meth:`~repro.serve.requests.ServeRequest.
+to_payload` dicts, so :meth:`ServeRequest.from_payload` validates each
+one here as it would a client's.  Unpickling is safe because only the
+router's user can connect: the sockets live in the router's private
+``tempfile.mkdtemp`` directory (mode 0700), and the router already
+pickles each shard's :class:`ShardSpec`.  A frame whose body does not
+unpickle is dropped; its length prefix keeps the stream in step.
 
 ``op: obs`` is the one metrics message: the reply carries the metric
 *delta* since the previous one (snapshot-and-reset) and the drained span
@@ -68,8 +78,9 @@ quarantine, republish, and respawn without waiting for a timeout.
 from __future__ import annotations
 
 import asyncio
-import json
 import os
+import pickle
+import struct
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -83,11 +94,45 @@ from repro.serve.models import ModelRepository
 from repro.serve.requests import ServeRequest
 from repro.serve.service import InferenceService, ServeConfig
 
-__all__ = ["ShardSpec", "run_shard", "MEM_WEIGHTS_SITE"]
+__all__ = [
+    "BadFrame", "MEM_WEIGHTS_SITE", "ShardSpec", "encode_frame",
+    "read_frame", "run_shard",
+]
 
 #: Fault site modelling a bit flip in the shared weight arena; the
 #: ``corrupt`` action is applied here (the call site owns the buffer).
 MEM_WEIGHTS_SITE = "mem:weights"
+
+#: A frame's header: its body's length, 4 bytes big-endian.
+_FRAME_HEADER = struct.Struct(">I")
+
+
+class BadFrame(ValueError):
+    """A whole frame arrived, but its body did not unpickle."""
+
+
+def encode_frame(envelope: dict) -> bytes:
+    """One wire frame: the pickled ``envelope`` behind its length."""
+    body = pickle.dumps(envelope, protocol=pickle.HIGHEST_PROTOCOL)
+    return _FRAME_HEADER.pack(len(body)) + body
+
+
+async def read_frame(reader: asyncio.StreamReader):
+    """The next frame's envelope, or None once the stream has ended.
+
+    A stream that ends mid-frame ends like a closed one.  A body that
+    does not unpickle raises :class:`BadFrame` after the whole frame was
+    consumed, so the next read starts on the next header.
+    """
+    try:
+        header = await reader.readexactly(_FRAME_HEADER.size)
+        body = await reader.readexactly(_FRAME_HEADER.unpack(header)[0])
+    except asyncio.IncompleteReadError:
+        return None
+    try:
+        return pickle.loads(body)
+    except Exception as exc:  # malformed pickles raise many types
+        raise BadFrame(f"frame body does not unpickle: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -196,9 +241,9 @@ async def _shard_main(spec: ShardSpec) -> None:
         tasks: set[asyncio.Task] = set()
 
         async def reply(payload: dict) -> None:
-            line = json.dumps(payload, sort_keys=True).encode() + b"\n"
+            frame = encode_frame(payload)
             async with write_lock:
-                writer.write(line)
+                writer.write(frame)
                 await writer.drain()
 
         async def escalate(rid, reason: str, detail: str) -> None:
@@ -293,14 +338,13 @@ async def _shard_main(spec: ShardSpec) -> None:
 
         try:
             while True:
-                line = await reader.readline()
-                if not line:
-                    break
                 try:
-                    envelope = json.loads(line)
+                    envelope = await read_frame(reader)
+                    if envelope is None:
+                        break
                     rid = envelope["rid"]
-                except (ValueError, KeyError, TypeError):
-                    continue  # router never sends malformed lines; drop
+                except (BadFrame, KeyError, TypeError):
+                    continue  # router never sends malformed frames; drop
                 if "op" in envelope:
                     await control(rid, envelope["op"])
                 else:

@@ -77,6 +77,23 @@ def test_report_covers_every_section():
     assert "1.200e+06" in text
 
 
+def test_loadgen_report_header_reads_config_and_summary():
+    # The shape `repro-serve loadgen --json` writes: config, summary and
+    # the stop-time metrics snapshot, but no run-manifest keys.
+    document = {
+        "config": {"scale": "tiny", "networks": ["alex"], "shards": 2},
+        "summary": {"requests": 50, "ok": 50, "wall_s": 3.46},
+        "metrics": json.loads(MANIFEST_PATH.read_text())["metrics"],
+    }
+    text = metrics_report(document)
+    assert text.splitlines()[0] == (
+        "== obs report: scale=tiny shards=2 wall=3.5s requests=50 "
+        "(loadgen report) =="
+    )
+    assert "manifest v" not in text
+    assert "-- sharded serving --" in text
+
+
 def test_report_cli_prints_the_same_text(capsys):
     assert report_main(["report", str(MANIFEST_PATH), "--top", "5"]) == 0
     assert capsys.readouterr().out == render()

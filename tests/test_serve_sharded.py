@@ -15,7 +15,11 @@ repro.serve.shard / repro.nn.shm):
   hard-kills a shard mid-run still yields zero failed responses, the
   death is observed, and the shard is respawned.
 * **Hand-off**: every shard's counts reach the router's registry by
-  one ``op: obs`` pull at stop, exactly once.
+  one ``op: obs`` pull at stop, exactly once — traced spans past 64 KiB
+  included.
+* **Hop**: the router and its shards exchange length-prefixed pickle
+  frames over sockets in a private (0700) directory; a frame that does
+  not unpickle is dropped and the stream stays in step.
 """
 
 from __future__ import annotations
@@ -23,6 +27,9 @@ from __future__ import annotations
 import asyncio
 import dataclasses
 import json
+import os
+import stat
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -32,6 +39,7 @@ from repro import obs
 from repro.nn import blas
 from repro.nn.inference import WeightStore
 from repro.nn.shm import SharedWeightArena, process_pss_kb
+from repro.obs.report import metrics_report
 from repro.reliability import FaultInjector, RespawnPolicy, RetryPolicy
 from repro.reliability.faults import parse_faults
 from repro.serve import (
@@ -46,6 +54,7 @@ from repro.serve import (
     run_load,
     summarize,
 )
+from repro.serve.shard import BadFrame, encode_frame, read_frame
 from repro.settings import Settings
 
 SERVE_NETWORKS = ("alex", "cnnS")
@@ -356,6 +365,70 @@ class TestShardHandOffAtStop:
         for name in ("serve.completed", "serve.batches", "shard.requests"):
             assert counters.get(name) == len(requests), name
 
+    def test_traced_hand_off_past_64_kib_reaches_the_router(self, cache_dir):
+        # Traced shards drain well over 64 KiB of spans each after 160
+        # requests; a mid-run pull must bring every span and count home
+        # without the router taking the long reply for a dead shard.
+        obs.reset_metrics()
+        obs.reset_tracing()
+        tier = ShardTierConfig(
+            shards=2, backlog=256, forward_timeout_s=120,
+            settings=dataclasses.replace(repro.settings.current(), trace=True),
+        )
+        requests = build_requests(160, networks=list(SERVE_NETWORKS), seed=5)
+
+        async def _go():
+            service = ShardedService(
+                det_config(), tier=tier, cache_dir=cache_dir
+            )
+            await service.start()
+            try:
+                result = await run_load(service, requests)
+                pids = set(service.shard_pids().values())
+                answered = await service.collect_obs()
+                counters = obs.get_metrics().snapshot()["counters"]
+                events = obs.drain_events()
+            finally:
+                await service.stop()
+            return result, pids, answered, counters, events
+
+        result, pids, answered, counters, events = asyncio.run(_go())
+        obs.reset_tracing()
+        assert all(r.status == "ok" for r in result.responses.values())
+        assert answered == 2
+        assert len(pids) == 2
+        for pid in pids:
+            spans = [event for event in events if event["pid"] == pid]
+            assert len(json.dumps(spans)) > 64 * 1024, pid
+        assert counters.get("serve.completed") == len(requests)
+        assert counters.get("router.deaths", 0) == 0
+
+    def test_arena_size_counts_once_across_shards(self, cache_dir):
+        obs.reset_metrics()
+        requests = build_requests(4, networks=list(SERVE_NETWORKS), seed=7)
+
+        async def _go():
+            service = ShardedService(
+                det_config(), tier=ShardTierConfig(shards=2),
+                cache_dir=cache_dir,
+            )
+            await service.start()
+            try:
+                arena_bytes = service.arena.manifest["bytes"]
+                await run_load(service, requests)
+            finally:
+                await service.stop()
+            return arena_bytes
+
+        arena_bytes = asyncio.run(_go())
+        snapshot = obs.get_metrics().snapshot()
+        assert snapshot["counters"]["engine.shared.attached"] == 2
+        assert snapshot["gauges"]["engine.shared.bytes.max"] == arena_bytes
+        report = metrics_report({"metrics": snapshot})
+        assert (
+            f"2 attach(es), {arena_bytes / 1e6:.1f} MB arena" in report
+        ), report
+
 
 class TestRouterValidation:
     def test_unknown_network_and_bad_probe_index(self, cache_dir):
@@ -502,6 +575,88 @@ class TestBlasBudget:
         assert shard_counts == [router, router]
 
 
+class TestShardHop:
+    """The router↔shard hop: length-prefixed pickle frames that only the
+    router's own user can reach."""
+
+    def test_frames_round_trip_split_and_past_64_kib(self):
+        async def _go():
+            reader = asyncio.StreamReader()
+            big = {"rid": 1, "events": [f"{i:03d}" * 400 for i in range(200)]}
+            wire = (
+                encode_frame(big)
+                + (4).to_bytes(4, "big") + b"junk"
+                + encode_frame({"rid": 2, "op": "ping"})
+            )
+            for start in range(0, len(wire), 7_000):  # arrives in pieces
+                reader.feed_data(wire[start:start + 7_000])
+            reader.feed_data(encode_frame({"rid": 3})[:-1])  # cut short
+            reader.feed_eof()
+            first = await read_frame(reader)
+            with pytest.raises(BadFrame):
+                await read_frame(reader)
+            second = await read_frame(reader)
+            return big, first, second, await read_frame(reader)
+
+        big, first, second, last = asyncio.run(_go())
+        assert len(encode_frame(big)) > 64 * 1024
+        assert first == big
+        assert second == {"rid": 2, "op": "ping"}
+        assert last is None
+
+    def test_shard_sockets_live_in_a_private_directory(self, cache_dir):
+        async def _go():
+            service = ShardedService(
+                det_config(networks=("alex",)),
+                tier=ShardTierConfig(shards=2), cache_dir=cache_dir,
+            )
+            await service.start()
+            try:
+                socket_dir = Path(service._socket_dir)
+                mode = stat.S_IMODE(os.stat(socket_dir).st_mode)
+                sockets = [
+                    Path(client.socket_path)
+                    for client in service._clients.values()
+                ]
+                kinds = [stat.S_ISSOCK(os.stat(p).st_mode) for p in sockets]
+            finally:
+                await service.stop()
+            return socket_dir, mode, sockets, kinds
+
+        socket_dir, mode, sockets, kinds = asyncio.run(_go())
+        # Only the router's user may connect: the shards unpickle
+        # whatever arrives on these sockets.
+        assert mode == 0o700
+        assert len(sockets) == 2 and all(kinds)
+        assert all(path.parent == socket_dir for path in sockets)
+
+    def test_shard_drops_a_bad_frame_and_answers_the_next(self, cache_dir):
+        async def _go():
+            service = ShardedService(
+                det_config(networks=("alex",)),
+                tier=ShardTierConfig(shards=1), cache_dir=cache_dir,
+            )
+            await service.start()
+            try:
+                client = service._clients[0]
+                reader, writer = await asyncio.open_unix_connection(
+                    client.socket_path
+                )
+                body = b"not a pickle"
+                writer.write(len(body).to_bytes(4, "big") + body)
+                writer.write(encode_frame({"rid": 41, "op": "ping"}))
+                await writer.drain()
+                reply = await asyncio.wait_for(read_frame(reader), 30)
+                writer.close()
+                return reply, client.process.pid
+            finally:
+                await service.stop()
+
+        reply, pid = asyncio.run(_go())
+        assert reply["rid"] == 41 and reply["ok"] is True
+        assert reply["pid"] == pid
+
+
 class TestShardClient:
     """A reply future never outlives the call that registered it."""
 
@@ -511,7 +666,7 @@ class TestShardClient:
         class BlockedWriter:
             """A transport whose drain() never completes."""
 
-            def write(self, line: bytes) -> None:
+            def write(self, frame: bytes) -> None:
                 pass
 
             async def drain(self) -> None:
