@@ -26,6 +26,17 @@ cost: CNV2 cycles <= CNV cycles layer by layer, for any weights — the
 invariant the fig9_backends acceptance check and the conformance suite
 pin.  Dense (unpruned) weights reduce the model to CNV exactly.
 
+Each pruned filter bank's per-pass offset unions are derived once
+(:func:`pass_unions`, held in :func:`repro.nn.memo.derived` while the
+bank lives).  A layer's activation side is then two whole-array
+contractions: the dispatched counts of every pass, tap and brick as one
+batched matrix product over the brick slots
+(:func:`pair_intersection_counts`), and every window's lane cycles as one
+matrix product of those costs with the lane assignment.  Every summed
+quantity is an integer-valued float far below its type's exact-integer
+limit, so the results equal, bit for bit, the per-pass, per-tap loop
+they replace (kept as an oracle in ``tests/``).
+
 First-layer convolutions take the unencoded baseline path, exactly like
 CNV (the raw image is not ZFNAf-encoded).  The brick/offset bookkeeping
 matches :mod:`repro.core.zfnaf` brick alignment (depth padded to a
@@ -40,16 +51,23 @@ import numpy as np
 
 from repro.baseline.other_layers import other_layers_timing
 from repro.baseline.timing import baseline_conv_timing, conv_works_from_inputs
-from repro.baseline.workload import ConvWork, ceil_div, group_activations
+from repro.baseline.workload import (
+    WINDOW_CHUNK_ELEMENTS,
+    ConvWork,
+    ceil_div,
+    group_activations,
+)
 from repro.core.timing import lane_assignment
 from repro.hw.config import ArchConfig
 from repro.hw.counters import ActivityCounters
 from repro.hw.timing_types import LayerTiming, NetworkTiming
+from repro.nn import memo
 from repro.nn.network import Network
 
 __all__ = [
     "brick_slot_mask",
     "pass_weight_union",
+    "pass_unions",
     "pair_intersection_counts",
     "cnv2_conv_timing",
     "cnv2_network_timing",
@@ -89,22 +107,60 @@ def pass_weight_union(weights: np.ndarray, brick_size: int) -> np.ndarray:
     ).transpose(2, 3, 0, 1)
 
 
+def pass_unions(
+    weights: np.ndarray, groups: int, filters_per_pass: int, brick_size: int
+) -> tuple[np.ndarray, ...]:
+    """Per group: the :func:`pass_weight_union` of every filter pass.
+
+    ``weights`` is a conv filter bank ``(filters, depth, Ky, Kx)`` split
+    into ``groups`` equal filter groups, each run ``filters_per_pass``
+    filters at a time.  Entry ``g`` is a read-only float32 ``(passes, Ky,
+    Kx, bricks, slot)`` stack of group ``g``'s pass unions.  Derived once
+    per bank (:func:`repro.nn.memo.derived`).
+    """
+    def build() -> tuple[np.ndarray, ...]:
+        fpg = weights.shape[0] // groups
+        entries = []
+        for group in range(groups):
+            group_weights = weights[group * fpg : (group + 1) * fpg]
+            unions = np.stack([
+                pass_weight_union(
+                    group_weights[lo : lo + filters_per_pass], brick_size
+                )
+                for lo in range(0, fpg, filters_per_pass)
+            ]).astype(np.float32)
+            unions.flags.writeable = False
+            entries.append(unions)
+        return tuple(entries)
+
+    tag = ("cnv2.pass_unions", groups, filters_per_pass, brick_size)
+    return memo.derived(weights, tag, build)
+
+
 def pair_intersection_counts(
     act_mask: np.ndarray, union_mask: np.ndarray
 ) -> np.ndarray:
     """Dispatched offsets per brick: activation non-zero AND weight-live.
 
-    ``act_mask`` is ``(y, x, bricks, slot)`` (from :func:`brick_slot_mask`),
-    ``union_mask`` is ``(bricks, slot)`` — one (fy, fx) plane of
-    :func:`pass_weight_union`.  Returns float64 counts ``(y, x, bricks)``;
-    ``brick_size - count`` is the skipped-pair count (zero activation OR
-    all-zero weights), the quantity the property tests brute-force.
+    ``act_mask`` is ``(y, x, bricks, slot)`` (from :func:`brick_slot_mask`);
+    ``union_mask`` is ``(..., bricks, slot)``: one (fy, fx) plane of
+    :func:`pass_weight_union`, or any stack of them, such as every pass
+    and tap of a layer at once (:func:`pass_unions`).  Returns float32
+    counts ``(..., y, x, bricks)``, exact since each sums at most ``slot``
+    ones; ``brick_size - count`` is the skipped-pair count (zero
+    activation OR all-zero weights), the quantity the property tests
+    brute-force.  Every plane is counted at every position by one batched
+    matrix product per brick, contracting over the brick's slots.
     """
-    return np.einsum(
-        "yxbs,bs->yxb",
-        act_mask.astype(np.float32),
-        union_mask.astype(np.float32),
-    ).astype(np.float64)
+    height, width, bricks, slots = act_mask.shape
+    planes = union_mask.shape[:-2]
+    acts = act_mask.reshape(height * width, bricks, slots).transpose(1, 2, 0)
+    unions = union_mask.reshape(-1, bricks, slots).transpose(1, 0, 2)
+    counts = np.matmul(
+        unions.astype(np.float32, copy=False),
+        np.ascontiguousarray(acts, dtype=np.float32),
+    )  # (bricks, planes, y * x)
+    return counts.transpose(1, 2, 0).reshape(*planes, height, width, bricks)
 
 
 def cnv2_conv_timing(
@@ -131,6 +187,8 @@ def cnv2_conv_timing(
     stride = geom["stride"]
     out_y, out_x = geom["out_y"], geom["out_x"]
     windows = out_y * out_x
+    fpg = work.filters_per_group
+    scale = config.num_units
 
     counters = ActivityCounters()
     total_cycles = 0
@@ -138,71 +196,82 @@ def cnv2_conv_timing(
     zero_events = 0.0
     stall_events = 0.0
 
-    for group in range(work.num_groups):
-        slab = group_activations(work, group)
-        act_mask = brick_slot_mask(slab, config.brick_size)
+    groups = pass_unions(
+        weights, work.num_groups, config.filters_per_pass, config.brick_size
+    )
+    for group, unions in enumerate(groups):
+        act_mask = brick_slot_mask(
+            group_activations(work, group), config.brick_size
+        )
         bricks = act_mask.shape[2]
-        lane_of = lane_assignment(kernel, kernel, bricks, lanes)
-        onehots = np.zeros((kernel, kernel, bricks, lanes), dtype=np.float64)
-        for fy in range(kernel):
-            for fx in range(kernel):
-                onehots[fy, fx, np.arange(bricks), lane_of[fy, fx]] = 1.0
+        # Row (fy, fx, bz) of the window's brick list -> its lane.
+        window_bricks = kernel * kernel * bricks
+        onehot = np.zeros((window_bricks, lanes), dtype=np.float64)
+        onehot[
+            np.arange(window_bricks),
+            lane_assignment(kernel, kernel, bricks, lanes).reshape(-1),
+        ] = 1.0
 
-        fpg = work.filters_per_group
-        group_weights = weights[group * fpg : (group + 1) * fpg]
-        passes = ceil_div(fpg, config.filters_per_pass)
+        # counts[p, fy, fx, y, x, bz] at every padded position; window
+        # (oy, ox) reads position (oy*S + fy, ox*S + fx) at tap (fy, fx).
+        counts = pair_intersection_counts(act_mask, unions)
+        sp, sfy, sfx, sy, sx, sb = counts.strides
+        passes = counts.shape[0]
+        windowed = np.lib.stride_tricks.as_strided(
+            counts,
+            shape=(passes, out_y, out_x, kernel, kernel, bricks),
+            strides=(sp, sy * stride, sx * stride, sfy + sy, sfx + sx, sb),
+            writeable=False,
+        )
+        # Passes go a few at a time so the float64 copies stay bounded.
+        step = max(1, WINDOW_CHUNK_ELEMENTS // (windows * window_bricks))
         group_cycles = 0
-
-        for p in range(passes):
-            pass_weights = group_weights[
-                p * config.filters_per_pass : (p + 1) * config.filters_per_pass
-            ]
-            union = pass_weight_union(pass_weights, config.brick_size)
-            lane_cycles = np.zeros((out_y, out_x, lanes), dtype=np.float64)
-            dispatched = 0.0
-            for fy in range(kernel):
-                for fx in range(kernel):
-                    counts = pair_intersection_counts(act_mask, union[fy, fx])
-                    if config.empty_brick_cycles:
-                        cost = np.maximum(counts, config.empty_brick_cycles)
-                    else:
-                        cost = counts
-                    # Window (oy, ox) reads padded position (oy*S+fy, ox*S+fx).
-                    view = cost[fy::stride, fx::stride][:out_y, :out_x]
-                    lane_cycles += view @ onehots[fy, fx]
-                    eff = counts[fy::stride, fx::stride][:out_y, :out_x]
-                    dispatched += float(eff.sum())
-            window_cycles = lane_cycles.max(axis=2)
-            pass_cycles = int(window_cycles.sum())
-            group_cycles += pass_cycles
-
-            busy = float(lane_cycles.sum())  # dispatched + empty-brick bubbles
-            stall = float((window_cycles[..., None] - lane_cycles).sum())
-            scale = config.num_units
-            nonzero_events += scale * dispatched
-            zero_events += scale * (busy - dispatched)
-            stall_events += scale * stall
-
-            # Datapath: only dispatched (intersected) offsets multiply.
-            active = scale * dispatched
-            counters.add("mults", active * config.filters_per_unit)
-            counters.add("adds", active * config.filters_per_unit)
-            counters.add("sb_reads", active)
-            # Both offset streams are consulted per dispatched pair:
-            # the activation's ZFNAf offset and the weight offset field.
-            counters.add("offset_reads", 2 * active)
-            counters.add("nbin_reads", scale * busy)
-            counters.add("nbin_writes", scale * busy)
-            counters.add(
-                "nbout_reads",
-                pass_cycles * config.num_units * config.filters_per_unit,
+        for p0 in range(0, passes, step):
+            cost = windowed[p0 : p0 + step].astype(np.float64)
+            chunk = cost.shape[0]
+            cost = cost.reshape(chunk, windows, window_bricks)
+            dispatched_per_pass = cost.sum(axis=(1, 2))
+            if config.empty_brick_cycles:
+                np.maximum(cost, config.empty_brick_cycles, out=cost)
+            lane_cycles = (cost.reshape(-1, window_bricks) @ onehot).reshape(
+                chunk, windows, lanes
             )
-            counters.add(
-                "nbout_writes",
-                pass_cycles * config.num_units * config.filters_per_unit,
-            )
-            counters.add("nm_reads", windows * kernel * kernel * bricks)
-            counters.add("broadcasts", pass_cycles)
+            cycles_per_pass = lane_cycles.max(axis=2).sum(axis=1)
+            # busy = dispatched + empty-brick bubbles; every lane waits
+            # out the rest of its window's slowest lane.
+            busy_per_pass = lane_cycles.sum(axis=(1, 2))
+            stall_per_pass = lanes * cycles_per_pass - busy_per_pass
+
+            for p in range(chunk):
+                dispatched = float(dispatched_per_pass[p])
+                busy = float(busy_per_pass[p])
+                stall = float(stall_per_pass[p])
+                pass_cycles = int(cycles_per_pass[p])
+                group_cycles += pass_cycles
+                nonzero_events += scale * dispatched
+                zero_events += scale * (busy - dispatched)
+                stall_events += scale * stall
+
+                # Datapath: only dispatched (intersected) offsets multiply.
+                active = scale * dispatched
+                counters.add("mults", active * config.filters_per_unit)
+                counters.add("adds", active * config.filters_per_unit)
+                counters.add("sb_reads", active)
+                # Both offset streams are consulted per dispatched pair:
+                # the activation's ZFNAf offset and the weight offset field.
+                counters.add("offset_reads", 2 * active)
+                counters.add("nbin_reads", scale * busy)
+                counters.add("nbin_writes", scale * busy)
+                counters.add(
+                    "nbout_reads",
+                    pass_cycles * config.num_units * config.filters_per_unit,
+                )
+                counters.add(
+                    "nbout_writes",
+                    pass_cycles * config.num_units * config.filters_per_unit,
+                )
+                counters.add("nm_reads", windows * kernel * kernel * bricks)
+                counters.add("broadcasts", pass_cycles)
 
         total_cycles += group_cycles
         # Output encoding is pass-independent (one encoded output slab).

@@ -32,6 +32,15 @@ array) — and computes, per conv layer:
   multiplier-limited and most-loaded-bank time; the layer (per group)
   takes the slowest PE.
 
+The weight side of these counts — each group's per-``(z, fy, fx)``
+non-zero filter count and its total — is derived once per pruned filter
+bank and held in :func:`repro.nn.memo.derived` while the bank lives.
+The activation side is one matrix-vector product of the tap-unfolded
+non-zero mask with those counts, and the PE and bank loads are one
+``bincount`` each.  Every summed quantity is an integer-valued float64
+far below 2**53, so these sums equal, bit for bit, the per-tap and
+per-PE loops they replace (kept as oracles in ``tests/``).
+
 Unlike CNV/CNV2 the model has no first-layer special case: compressed
 weights skip their zeros against the dense image just as well.  Groups
 run sequentially, like every other backend here.
@@ -49,14 +58,22 @@ import numpy as np
 
 from repro.baseline.other_layers import other_layers_timing
 from repro.baseline.timing import conv_works_from_inputs
-from repro.baseline.workload import ConvWork, ceil_div, group_activations
+from repro.baseline.workload import (
+    WINDOW_CHUNK_ELEMENTS,
+    ConvWork,
+    group_activations,
+    unfold_windows,
+    window_row_chunks,
+)
 from repro.hw.config import ArchConfig
 from repro.hw.counters import ActivityCounters
 from repro.hw.timing_types import LayerTiming, NetworkTiming
+from repro.nn import memo
 from repro.nn.network import Network
 
 __all__ = [
     "effectual_pair_count",
+    "filter_counts",
     "scnn_conv_timing",
     "scnn_network_timing",
 ]
@@ -64,14 +81,31 @@ __all__ = [
 ARCHITECTURE = "scnn"
 
 
-def _strided_plane(slab: np.ndarray, fy: int, fx: int, stride: int,
-                   out_y: int, out_x: int) -> np.ndarray:
-    """Activations feeding kernel tap (fy, fx) of every valid window.
+def filter_counts(
+    weights: np.ndarray, groups: int
+) -> tuple[tuple[np.ndarray, float], ...]:
+    """Per group: non-zero filters at each weight tap, and their total.
 
-    ``slab`` is the spatially padded ``(depth, Y, X)`` group slab; output
-    position (oy, ox) reads ``slab[:, oy*stride + fy, ox*stride + fx]``.
+    ``weights`` is a conv filter bank ``(filters, depth, Ky, Kx)`` split
+    into ``groups`` equal filter groups.  Entry ``g`` is ``(counts,
+    total)``: ``counts`` a read-only float64 ``(Ky, Kx, depth)`` array
+    holding how many of group ``g``'s filters are non-zero at each
+    ``(fy, fx, z)``, ``total`` the group's non-zero weight count.
+    Derived once per bank (:func:`repro.nn.memo.derived`).
     """
-    return slab[:, fy::stride, fx::stride][:, :out_y, :out_x]
+    def build() -> tuple[tuple[np.ndarray, float], ...]:
+        fpg = weights.shape[0] // groups
+        entries = []
+        for group in range(groups):
+            live = weights[group * fpg : (group + 1) * fpg] != 0.0
+            counts = np.ascontiguousarray(
+                live.sum(axis=0).transpose(1, 2, 0), dtype=np.float64
+            )
+            counts.flags.writeable = False
+            entries.append((counts, float(counts.sum())))
+        return tuple(entries)
+
+    return memo.derived(weights, ("scnn.filter_counts", groups), build)
 
 
 def effectual_pair_count(work: ConvWork, weights: np.ndarray) -> int:
@@ -87,19 +121,14 @@ def effectual_pair_count(work: ConvWork, weights: np.ndarray) -> int:
     kernel = geom["kernel"]
     stride = geom["stride"]
     out_y, out_x = geom["out_y"], geom["out_x"]
-    fpg = work.filters_per_group
     total = 0
-    for group in range(work.num_groups):
+    for group, (counts, _) in enumerate(filter_counts(weights, work.num_groups)):
         slab = group_activations(work, group)
-        group_weights = weights[group * fpg : (group + 1) * fpg]
-        # (# filters with non-zero weight) per (depth, fy, fx).
-        filter_counts = (group_weights != 0.0).sum(axis=0).astype(np.int64)
         for fy in range(kernel):
             for fx in range(kernel):
-                act_nnz = (
-                    _strided_plane(slab, fy, fx, stride, out_y, out_x) != 0.0
-                ).sum(axis=(1, 2)).astype(np.int64)
-                total += int(filter_counts[:, fy, fx] @ act_nnz)
+                plane = slab[:, fy::stride, fx::stride][:, :out_y, :out_x]
+                act_nnz = (plane != 0.0).sum(axis=(1, 2))
+                total += int(counts[fy, fx] @ act_nnz)
     return total
 
 
@@ -121,50 +150,52 @@ def scnn_conv_timing(
     f_live = min(work.filters_per_group, config.filters_per_unit)
     fpg = work.filters_per_group
 
+    # Contiguous row-major position chunks, one per PE; position p maps
+    # to accumulator bank p mod B of its PE.
+    n_pos = out_y * out_x
+    bounds = (np.arange(units + 1) * n_pos) // units
+    pe_of = np.repeat(np.arange(units), np.diff(bounds))
+    pe_bank = pe_of * banks + np.arange(n_pos) % banks
+
     counters = ActivityCounters()
     total_cycles = 0
     busy_events = 0.0
     stall_events = 0.0
 
-    for group in range(work.num_groups):
-        slab = group_activations(work, group)
-        group_weights = weights[group * fpg : (group + 1) * fpg]
-        filter_counts = (group_weights != 0.0).sum(axis=0).astype(np.float64)
+    for group, (counts, live_weights) in enumerate(
+        filter_counts(weights, work.num_groups)
+    ):
+        live = np.ascontiguousarray(
+            (group_activations(work, group) != 0.0).transpose(1, 2, 0)
+        )
 
-        # Effectual products landing on each valid output position.
-        product_map = np.zeros((out_y, out_x), dtype=np.float64)
-        for fy in range(kernel):
-            for fx in range(kernel):
-                act_mask = (
-                    _strided_plane(slab, fy, fx, stride, out_y, out_x) != 0.0
-                ).astype(np.float64)
-                product_map += np.einsum(
-                    "z,zyx->yx", filter_counts[:, fy, fx], act_mask
-                )
-        products = product_map.reshape(-1)
-        n_pos = products.size
+        # Effectual products landing on each valid output position.  The
+        # bool rows widen to float64 for the product, so they take an
+        # eighth of the chunk budget.
+        products = np.empty(n_pos, dtype=np.float64)
+        weight_column = counts.reshape(-1)
+        for y0, y1, rows in window_row_chunks(
+            unfold_windows(live, kernel, kernel, stride, out_y, out_x),
+            WINDOW_CHUNK_ELEMENTS // 8,
+        ):
+            products[y0 * out_x : y1 * out_x] = (
+                rows.astype(np.float64) @ weight_column
+            )
         group_products = float(products.sum())
 
-        # Contiguous row-major position chunks, one per PE.
-        bounds = [(pe * n_pos) // units for pe in range(units + 1)]
-        group_cycles = 0
-        for pe in range(units):
-            lo, hi = bounds[pe], bounds[pe + 1]
-            if lo == hi:
-                continue
-            chunk = products[lo:hi]
-            mult_limited = ceil_div(
-                int(chunk.sum()), config.multipliers_per_unit
-            )
-            # Scatter: position p -> bank p mod B, ceil(products/F_live)
-            # serialized accumulations per position.
-            per_position = np.ceil(chunk / f_live)
-            bank_load = np.bincount(
-                np.arange(lo, hi) % banks, weights=per_position,
-                minlength=banks,
-            )
-            bank_limited = int(bank_load.max())
-            group_cycles = max(group_cycles, max(mult_limited, bank_limited))
+        # A PE's time is the max of its multiplier-limited time and its
+        # most-loaded bank; ceil(products / F_live) serialized
+        # accumulations per position.
+        pe_products = np.bincount(pe_of, weights=products, minlength=units)
+        mult_limited = -(-pe_products.astype(np.int64)
+                         // config.multipliers_per_unit)
+        bank_load = np.bincount(
+            pe_bank, weights=np.ceil(products / f_live),
+            minlength=units * banks,
+        ).reshape(units, banks)
+        group_cycles = int(
+            np.maximum(mult_limited, bank_load.max(axis=1)).max()
+        )
         total_cycles += group_cycles
 
         # Fig. 10 bookkeeping: a cycle offers units x lanes event slots,
@@ -183,9 +214,9 @@ def scnn_conv_timing(
         # Compressed operand traffic (coarse: one read per non-zero,
         # brick-granular for activations, per-element for weights).
         counters.add(
-            "nm_reads", float((slab != 0.0).sum()) / config.brick_size
+            "nm_reads", float(np.count_nonzero(live)) / config.brick_size
         )
-        counters.add("sb_reads", float((group_weights != 0.0).sum()))
+        counters.add("sb_reads", live_weights)
         counters.add(
             "nm_writes", out_y * out_x * fpg / config.brick_size
         )

@@ -34,16 +34,48 @@ def prune_weights(weights: np.ndarray, fraction: float) -> np.ndarray:
     The threshold is the ``fraction``-quantile of ``|weights|``; ties at
     the cut prune together (deterministic, order-independent).
     ``fraction <= 0`` returns the input unchanged (no copy).
+
+    The cut equals ``np.quantile(np.abs(weights), fraction)`` bit for
+    bit without its sorted copy: the lower of the two order statistics
+    that quantile interpolates between is selected in place in the fresh
+    ``|w|``, through its unsigned-integer view (non-negative floats order
+    like their bit patterns, NaN last), the upper one is the minimum of
+    the part above it, and ``np.quantile`` interpolates between just
+    those two at the same fraction, with the same dtype promotion.
+    ``|w|`` is then recomputed into the same buffer for the mask, so the
+    peak stays at three arrays: ``|w|``, the mask and the result.
     """
     if fraction <= 0.0:
         return weights
     if not fraction < 1.0:
         raise ValueError(f"fraction must be in [0, 1), got {fraction}")
-    magnitudes = np.abs(weights)
-    cutoff = np.quantile(magnitudes, fraction)
-    pruned = weights.copy()
-    pruned[magnitudes <= cutoff] = 0.0
-    return pruned
+    magnitudes = np.abs(weights).reshape(-1)
+    # np.quantile's linear method: virtual index (n - 1) * q, the order
+    # statistics at its floor and the next index, weighted by the rest.
+    position = (magnitudes.size - 1) * np.asanyarray(fraction)
+    below = np.floor(position)
+    gamma = position - below
+    lower = int(below)
+    bits = magnitudes.view(np.dtype(f"u{magnitudes.itemsize}"))
+    bits.partition(lower)
+    above = bits[lower + 1 :]
+    if above.size:
+        stats = [bits[lower], above.min(), above.max()]
+    else:
+        stats = [bits[lower]] * 3
+    lower_value, upper_value, top = np.array(stats, dtype=bits.dtype).view(
+        magnitudes.dtype
+    )
+    if np.isnan(top):
+        cutoff = top  # np.quantile answers NaN: nothing is pruned
+    else:
+        weak = type(fraction) in (int, float)
+        cutoff = np.quantile(
+            np.array([lower_value, upper_value]),
+            float(gamma) if weak else gamma,
+        )
+    np.abs(weights, out=magnitudes.reshape(weights.shape))
+    return np.where(magnitudes.reshape(weights.shape) <= cutoff, 0.0, weights)
 
 
 def prune_input_channels(weights: np.ndarray, fraction: float) -> np.ndarray:

@@ -5,18 +5,32 @@ zero-padded) input activations split by group, plus the layer geometry.
 Padding neurons are stored in NM as explicit zeros (DESIGN.md decision):
 the baseline spends cycles multiplying them, CNV's encoder removes them like
 any other zero.  This module also provides the integral-image machinery for
-exact per-window non-zero counts.
+exact per-window non-zero counts, and the window unfolding the vectorized
+models share (:func:`unfold_windows`, :func:`window_row_chunks`).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro.nn.layers import pad_input
 
-__all__ = ["ConvWork", "group_activations", "window_sums", "ceil_div"]
+__all__ = [
+    "ConvWork",
+    "group_activations",
+    "window_sums",
+    "ceil_div",
+    "unfold_windows",
+    "window_row_chunks",
+]
+
+#: Elements one materialized chunk of unfolded windows may hold (32 MB
+#: as float64): windows overlap, so unfolding a large plane all at once
+#: can dwarf the plane itself.
+WINDOW_CHUNK_ELEMENTS = 4_000_000
 
 
 def ceil_div(a: int, b: int) -> int:
@@ -92,3 +106,43 @@ def window_sums(
         - integral[np.ix_(y1, x0)]
         + integral[np.ix_(y0, x0)]
     )
+
+
+def unfold_windows(
+    padded: np.ndarray, kernel_y: int, kernel_x: int, stride: int,
+    out_y: int, out_x: int,
+) -> np.ndarray:
+    """Every window of a spatially padded ``(Y, X, C)`` array, as a view.
+
+    Returns a read-only ``(out_y, out_x, kernel_y, kernel_x, C)`` view:
+    window ``(oy, ox)`` covers ``padded[oy*S : oy*S+Fy, ox*S : ox*S+Fx]``.
+    Nothing is copied.
+    """
+    sy, sx, sc = padded.strides
+    return np.lib.stride_tricks.as_strided(
+        padded,
+        shape=(out_y, out_x, kernel_y, kernel_x, padded.shape[2]),
+        strides=(sy * stride, sx * stride, sy, sx, sc),
+        writeable=False,
+    )
+
+
+def window_row_chunks(
+    windows: np.ndarray, max_elements: int = WINDOW_CHUNK_ELEMENTS
+):
+    """Materialize an :func:`unfold_windows` view a few output rows at a time.
+
+    Yields ``(y0, y1, rows)``: ``rows`` is the C-contiguous
+    ``((y1 - y0) * out_x, kernel_y * kernel_x * C)`` copy of the windows of
+    output rows ``y0 .. y1 - 1``, one row per window in row-major order,
+    each flattened in ``(fy, fx, c)`` order.  A chunk holds at most
+    ``max_elements`` elements (or one output row).
+    """
+    out_y, out_x = windows.shape[:2]
+    width = math.prod(windows.shape[2:])
+    step = max(1, max_elements // max(1, out_x * width))
+    for y0 in range(0, out_y, step):
+        y1 = min(y0 + step, out_y)
+        yield y0, y1, np.ascontiguousarray(windows[y0:y1]).reshape(
+            (y1 - y0) * out_x, width
+        )

@@ -30,7 +30,13 @@ import numpy as np
 
 from repro.baseline.other_layers import other_layers_timing
 from repro.baseline.timing import baseline_conv_timing, conv_works_from_inputs
-from repro.baseline.workload import ConvWork, ceil_div, group_activations
+from repro.baseline.workload import (
+    ConvWork,
+    ceil_div,
+    group_activations,
+    unfold_windows,
+    window_row_chunks,
+)
 from repro.hw.config import ArchConfig
 from repro.hw.counters import ActivityCounters
 from repro.hw.timing_types import LayerTiming, NetworkTiming
@@ -97,28 +103,17 @@ def window_lane_cycles(
     cost64 = np.ascontiguousarray(cost, dtype=np.float64)
     nnz64 = np.ascontiguousarray(nnz, dtype=np.float64)
 
-    def unfold(padded: np.ndarray) -> np.ndarray:
-        sy, sx, sb = padded.strides
-        return np.lib.stride_tricks.as_strided(
-            padded,
-            shape=(out_y, out_x, kernel_y, kernel_x, bricks_per_column),
-            strides=(sy * stride, sx * stride, sy, sx, sb),
-            writeable=False,
-        )
-
-    cost_windows = unfold(cost64)
-    nnz_windows = unfold(nnz64)
+    nnz_windows = unfold_windows(
+        nnz64, kernel_y, kernel_x, stride, out_y, out_x
+    )
     lane_cycles = np.empty((out_y, out_x, lanes), dtype=np.float64)
     window_nnz = np.empty((out_y, out_x), dtype=np.float64)
     # Materializing every window at once can dwarf the input for large
-    # kernels; process row chunks so the unfolded copy stays bounded.
-    chunk_rows = max(1, 4_000_000 // max(1, out_x * bricks_per_window))
-    for y0 in range(0, out_y, chunk_rows):
-        y1 = min(y0 + chunk_rows, out_y)
-        chunk = np.ascontiguousarray(cost_windows[y0:y1]).reshape(
-            (y1 - y0) * out_x, bricks_per_window
-        )
-        lane_cycles[y0:y1] = (chunk @ onehot).reshape(y1 - y0, out_x, lanes)
+    # kernels; the unfolded copy goes a few output rows at a time.
+    for y0, y1, rows in window_row_chunks(
+        unfold_windows(cost64, kernel_y, kernel_x, stride, out_y, out_x)
+    ):
+        lane_cycles[y0:y1] = (rows @ onehot).reshape(y1 - y0, out_x, lanes)
         window_nnz[y0:y1] = nnz_windows[y0:y1].sum(axis=(2, 3, 4))
     return lane_cycles, window_nnz
 

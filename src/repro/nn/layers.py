@@ -77,13 +77,19 @@ def pad_input(activations: np.ndarray, pad: int) -> np.ndarray:
     """Zero-pad the spatial (y, x) dimensions — the last two axes.
 
     Works for ``(z, y, x)`` arrays and batched ``(batch, z, y, x)`` arrays.
+    The interior is copied into a zero-filled array, so the result holds
+    the same bytes as ``np.pad``'s constant-zero padding.
     """
     if pad < 0:
         raise ValueError("pad must be non-negative")
     if pad == 0:
         return activations
-    width = [(0, 0)] * (activations.ndim - 2) + [(pad, pad), (pad, pad)]
-    return np.pad(activations, width)
+    *lead, height, width = activations.shape
+    padded = np.zeros(
+        (*lead, height + 2 * pad, width + 2 * pad), dtype=activations.dtype
+    )
+    padded[..., pad : pad + height, pad : pad + width] = activations
+    return padded
 
 
 def im2col(

@@ -83,11 +83,11 @@ from __future__ import annotations
 
 import itertools
 import math
-import weakref
 
 import numpy as np
 
 from repro import obs, settings
+from repro.nn import memo
 from repro.reliability.policy import hash_fraction
 
 __all__ = [
@@ -133,40 +133,31 @@ def should_verify(policy: tuple[str, float] | None = None, seed: int = 0) -> boo
 # ----------------------------------------------------------------------
 # cached checksum vectors
 # ----------------------------------------------------------------------
-_checksum_cache: dict[tuple[int, int, int], tuple[np.ndarray, np.ndarray]] = {}
-
-
 def _checksums(
     weights: np.ndarray, axis: int, owner: np.ndarray | None = None, group: int = 0
 ) -> tuple[np.ndarray, np.ndarray]:
     """``(sum, abs-sum)`` of ``weights`` along ``axis``, cached per array.
 
     The cache key is ``owner`` (default: ``weights`` itself) plus
-    ``group``; the entry dies with ``owner``.  A conv kernel passes its
-    stable 4-D filter bank as ``owner`` because the matrix it verifies
-    is a fresh per-call view of one group of it.  Weight arrays are
-    replaced, not mutated (the repo-wide contract) — which makes a
-    cached checksum a *detector* of in-place mutation rather than a
-    victim of it: a bit flipped in the live array no longer matches its
-    first-use sums.
+    ``group``; the entry dies with ``owner`` (:func:`repro.nn.memo.derived`).
+    A conv kernel passes its stable 4-D filter bank as ``owner`` because
+    the matrix it verifies is a fresh per-call view of one group of it.
+    Weight arrays are replaced, not mutated (the repo-wide contract) —
+    which makes a cached checksum a *detector* of in-place mutation rather
+    than a victim of it: a bit flipped in the live array no longer matches
+    its first-use sums.
     """
-    owner = weights if owner is None else owner
-    key = (id(owner), axis, group)
-    entry = _checksum_cache.get(key)
-    if entry is None:
+    def build() -> tuple[np.ndarray, np.ndarray]:
         # float64 accumulation: a corrupted float32 weight can sit near
         # the dtype max, where a same-dtype abs-sum overflows to inf and
         # spews RuntimeWarnings from inside the check itself.
-        entry = (
+        return (
             weights.sum(axis=axis, dtype=np.float64),
             np.abs(weights).sum(axis=axis, dtype=np.float64),
         )
-        try:
-            weakref.finalize(owner, _checksum_cache.pop, key, None)
-        except TypeError:
-            return entry  # not weakref-able: hand back uncached
-        _checksum_cache[key] = entry
-    return entry
+
+    owner = weights if owner is None else owner
+    return memo.derived(owner, ("integrity.checksums", axis, group), build)
 
 
 # ----------------------------------------------------------------------

@@ -430,12 +430,11 @@ class ShardedService:
             )
             return future
         key = request_key(request.network, request.thresholds_key())
-        try:
-            owner = self.ring.owner(key)
-        except LookupError:
-            owner = None
-        if owner is not None and (
-            self._clients[owner].waiting >= self.tier.backlog
+        # One ring walk per request: its head is the owner the backlog
+        # check reads, and the first forward attempt routes on it.
+        preference = self._preference(key)
+        if preference and (
+            self._clients[preference[0]].waiting >= self.tier.backlog
         ):
             obs.counter_add("router.shed")
             return ServeResponse(
@@ -447,7 +446,7 @@ class ShardedService:
                 },
             )
         future = loop.create_future()
-        self._in_background(self._forward(request, key, future))
+        self._in_background(self._forward(request, key, preference, future))
         self._pending.add(future)
         future.add_done_callback(self._pending.discard)
         return future
@@ -461,23 +460,30 @@ class ShardedService:
     # ------------------------------------------------------------------
     # forwarding + failover
     # ------------------------------------------------------------------
-    def _live_preference(self, key: str) -> list[int]:
+    def _preference(self, key: str) -> list[int]:
+        """Every shard on the ring in failover order for ``key``."""
         if self.ring is None or len(self.ring) == 0:
             return []
-        return [
-            index
-            for index in self.ring.preference(key, limit=len(self.ring))
-            if self._clients[index].alive
-        ]
+        return self.ring.preference(key, limit=len(self.ring))
+
+    def _live(self, ring_order: list[int]) -> list[int]:
+        return [index for index in ring_order if self._clients[index].alive]
 
     async def _forward(
-        self, request: ServeRequest, key: str, future: asyncio.Future
+        self, request: ServeRequest, key: str, ring_order: list[int],
+        future: asyncio.Future,
     ) -> None:
+        """Forward with failover.  ``ring_order`` is the key's ring order
+        when the request was admitted; the first attempt routes on it and
+        every retry walks the ring again, since a death, quarantine or
+        respawn changes it."""
         payload = request.to_payload()
         attempt = 0
         label = f"shard/{request.network}"
         while True:
-            preference = self._live_preference(key)
+            if attempt:
+                ring_order = self._preference(key)
+            preference = self._live(ring_order)
             if not preference:
                 # Every shard may be mid-quarantine/respawn; retry on
                 # the same budget as a failed forward so a healing tier
@@ -520,7 +526,7 @@ class ShardedService:
                 obs.counter_add("router.retries")
                 # A retry that will land on a different shard is a
                 # failover (the ring successor takes the key's traffic).
-                succ = self._live_preference(key)
+                succ = self._live(self._preference(key))
                 if succ and succ[(attempt + 1) % len(succ)] != target:
                     obs.counter_add("router.failovers")
                 if not self.policy.retries_left(attempt):

@@ -28,12 +28,27 @@ against brute force over :func:`repro.core.zfnaf.encode` bricks
 (including all-zero bricks and depth % 16 != 0 tails) and pin the
 ordering invariants: CNV2 <= CNV cycles for *any* weights, equality for
 dense weights, and a strict win under channel-structured pruning.
+
+The SCNN and CNV2 simulators count in whole-array products over weight
+structure memoized per filter bank; ``TestOracles`` pins them to the
+per-tap loops in ``backend_oracles.py`` record for record, and
+``TestPerBankMemo`` pins the memo's lifetime and thread behaviour.
 """
 
 from __future__ import annotations
 
+import gc
+import sys
+import threading
+import tracemalloc
+import weakref
+
 import numpy as np
 import pytest
+from backend_oracles import (
+    cnv2_conv_timing_reference,
+    scnn_conv_timing_reference,
+)
 from conftest import make_conv_work
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -52,10 +67,15 @@ from repro.backends import (
     register,
     scnn_conv_timing,
 )
+from repro.backends.cnv2 import pass_unions
 from repro.backends.registry import architectures
+from repro.backends.scnn import filter_counts
+from repro.baseline.timing import conv_works_from_inputs
 from repro.baseline.workload import ceil_div
 from repro.core.zfnaf import encode
-from repro.hw.config import PAPER_CONFIG
+from repro.experiments.config import PaperConfig
+from repro.experiments.context import ExperimentContext
+from repro.hw.config import PAPER_CONFIG, small_config
 
 #: Paper-like conformance workloads (see module docstring for why the
 #: regime matters): depth >= 2 bricks, out_y*out_x >= num_units, one
@@ -257,6 +277,8 @@ def test_cnv2_intersection_matches_zfnaf_brute_force(
     union = pass_weight_union(weights, brick_size)
     bricks = act_mask.shape[2]
     assert bricks == ceil_div(depth, brick_size)
+    # Every tap at once, as the simulator counts them.
+    stacked = pair_intersection_counts(act_mask, union)
     for fy in range(kernel):
         for fx in range(kernel):
             counts = pair_intersection_counts(act_mask, union[fy, fx])
@@ -264,6 +286,7 @@ def test_cnv2_intersection_matches_zfnaf_brute_force(
                 slab, weights, brick_size, fy, fx
             )
             assert np.array_equal(counts, expected), (fy, fx)
+            assert np.array_equal(stacked[fy, fx], expected), (fy, fx)
             # skipped = brick_size - dispatched, per brick: zero activation
             # OR an all-zero weight column — never negative, never > slots.
             skipped = bricks * brick_size * side * side - counts.sum()
@@ -407,3 +430,214 @@ def test_weight_pruning_is_deterministic_and_exact():
     assert prune_weights(weights, 0.0) is weights
     with pytest.raises(ValueError):
         prune_weights(weights, 1.0)
+
+
+def _prune_weights_reference(weights, fraction):
+    """The cut as first written: a full ``np.quantile`` of ``|w|``."""
+    magnitudes = np.abs(weights)
+    cutoff = np.quantile(magnitudes, fraction)
+    pruned = weights.copy()
+    pruned[magnitudes <= cutoff] = 0.0
+    return pruned
+
+
+def _pruning_inputs():
+    rng = np.random.default_rng(5)
+    for dtype in (np.float32, np.float64):
+        for shape in ((1,), (2,), (3, 4), (17, 5, 3, 3)):
+            weights = rng.normal(size=shape).astype(dtype)
+            yield weights
+            tied = weights.copy()
+            tied.flat[::3] = 0.5
+            yield tied
+            signed = weights.copy()
+            signed.flat[::2] = -0.0
+            yield signed
+            if weights.size > 2:
+                holed = weights.copy()
+                holed.flat[1] = np.nan
+                yield holed
+                capped = weights.copy()
+                capped.flat[0], capped.flat[-1] = 3.0, -3.0
+                yield capped
+        yield rng.normal(size=(8, 8, 3, 3)).astype(dtype)[:, ::2]
+
+
+@pytest.mark.parametrize(
+    "fraction", [0.1, 0.3, 0.5, 0.7, 0.999, np.float64(0.5), np.float32(0.3)]
+)
+def test_weight_pruning_matches_the_full_quantile_bytes(fraction):
+    """Selecting the two order statistics in place cuts exactly where
+    np.quantile over the whole array does: ties, signed zeros, NaN (which
+    prunes nothing), non-contiguous input, and the quantile's own dtype
+    promotion for Python and numpy fractions."""
+    for weights in _pruning_inputs():
+        expected = _prune_weights_reference(weights, fraction)
+        got = prune_weights(weights, fraction)
+        assert got.dtype == expected.dtype and got.shape == expected.shape
+        assert got.tobytes() == expected.tobytes(), (weights.shape, fraction)
+
+
+def test_weight_pruning_holds_no_second_copy():
+    """The cut partitions the fresh |w| itself: peak traced memory stays
+    at the full-quantile version's (|w|, mask and result), short of the
+    quarter-array a second copy of even a narrower dtype would add."""
+    weights = np.random.default_rng(9).normal(size=(64, 64, 3, 3))
+    peaks = []
+    for prune in (_prune_weights_reference, prune_weights):
+        tracemalloc.start()
+        prune(weights, 0.5)
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.stop()
+    assert peaks[1] < peaks[0] + weights.nbytes // 4
+
+
+# ----------------------------------------------------------------------
+# the whole-array simulators against their per-tap oracles
+# ----------------------------------------------------------------------
+ORACLES = {
+    "scnn": scnn_conv_timing_reference,
+    "cnv2": cnv2_conv_timing_reference,
+}
+
+
+def timing_record(timing):
+    """Everything a LayerTiming carries, Python types included: equal
+    records serialize to equal bytes."""
+    return (
+        timing.name,
+        timing.kind,
+        timing.cycles,
+        type(timing.cycles),
+        [(k, v, type(v)) for k, v in timing.lane_events.items()],
+        [(k, v, type(v)) for k, v in timing.counters.counts.items()],
+    )
+
+
+def assert_matches_oracle(name, work, config, weights):
+    got = get_backend(name).layer_timing(work, config, weights)
+    expected = ORACLES[name](work, config, weights)
+    assert timing_record(got) == timing_record(expected), (name, work.name)
+
+
+#: Shapes beyond the conformance set: several filter passes with a
+#: partial last one, grouped and strided at once, fewer output positions
+#: than PEs, and a first layer.
+ORACLE_WORKLOADS = (
+    dict(in_depth=40, in_y=9, in_x=9, num_filters=600, kernel=5, stride=2,
+         pad=2, groups=2),
+    dict(in_depth=24, in_y=13, in_x=11, num_filters=12, kernel=3, stride=3,
+         pad=0, zero_fraction=0.8),
+    dict(in_depth=64, in_y=2, in_x=2, num_filters=300, kernel=3),
+    dict(in_depth=3, in_y=23, in_x=23, num_filters=16, kernel=11, stride=4,
+         pad=0, is_first=True),
+)
+
+
+@pytest.fixture(scope="module")
+def tiny_layers(tmp_path_factory):
+    """(ConvWork, pruned bank) for every conv layer of tiny alex and
+    cnnS on their first image, as the serving tier times them."""
+    ctx = ExperimentContext(PaperConfig(
+        scale="tiny", networks=["alex", "cnnS"],
+        cache_dir=tmp_path_factory.mktemp("oracle-cache"), num_images=1,
+    ))
+    layers = []
+    for name in ("alex", "cnnS"):
+        weights = ctx.pruned_conv_weights(name)
+        inputs = ctx.forward(name).conv_inputs
+        network = ctx.network_ctx(name).network
+        for work in conv_works_from_inputs(network, inputs):
+            layers.append((work, weights[work.name]))
+    return layers
+
+
+class TestOracles:
+    @pytest.mark.parametrize("name", sorted(ORACLES))
+    def test_conformance_cases(self, name, cases):
+        for _, work, weights in cases:
+            assert_matches_oracle(name, work, PAPER_CONFIG, weights)
+
+    @pytest.mark.parametrize("name", sorted(ORACLES))
+    @pytest.mark.parametrize("kwargs", ORACLE_WORKLOADS)
+    def test_grouped_strided_multipass_and_first_layers(self, name, kwargs):
+        rng = np.random.default_rng(77)
+        work, weights = make_conv_work(rng, **kwargs)
+        pruned = prune_weights(weights, 0.6)
+        for config in (
+            PAPER_CONFIG,
+            small_config(),
+            PAPER_CONFIG.with_(empty_brick_cycles=0, first_layer_encoded=True),
+        ):
+            assert_matches_oracle(name, work, config, pruned)
+
+    @pytest.mark.parametrize("name", sorted(ORACLES))
+    def test_every_conv_layer_of_tiny_alex_and_cnnS(self, name, tiny_layers):
+        for work, weights in tiny_layers:
+            assert_matches_oracle(name, work, PAPER_CONFIG, weights)
+
+
+class TestPerBankMemo:
+    def test_a_bank_with_equal_values_gets_its_own_entry(self, rng):
+        bank = prune_weights(rng.normal(size=(8, 16, 3, 3)), 0.5)
+        twin = bank.copy()
+        first = filter_counts(bank, 1)
+        assert filter_counts(bank, 1) is first
+        second = filter_counts(twin, 1)
+        assert second is not first
+        assert np.array_equal(second[0][0], first[0][0])
+        assert pass_unions(twin, 1, 4, 4) is not pass_unions(bank, 1, 4, 4)
+
+    def test_the_entry_dies_with_its_bank(self, rng):
+        bank = prune_weights(rng.normal(size=(8, 16, 3, 3)), 0.5)
+        counts = weakref.ref(filter_counts(bank, 2)[0][0])
+        unions = weakref.ref(pass_unions(bank, 1, 4, 4)[0])
+        del bank
+        gc.collect()
+        assert counts() is None and unions() is None
+        # A new bank (which may reuse the id) sees its own structure.
+        dense = rng.normal(size=(8, 16, 3, 3))
+        assert filter_counts(dense, 1)[0][1] == dense.size
+
+    def test_threads_timing_one_bank_agree(self, cases):
+        """Serving workers share banks: threads that all miss on one bank
+        at once (more threads than cores, switching often) time it alike
+        and end up holding one memoized structure."""
+        _, work, weights = cases[2]  # grouped
+        threads_n = 8
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for name, derive in (
+                ("scnn", lambda bank: filter_counts(bank, 2)),
+                ("cnv2", lambda bank: pass_unions(bank, 2, 256, 16)),
+            ):
+                bank = weights.copy()  # nothing memoized for it yet
+                barrier = threading.Barrier(threads_n)
+                records = [None] * threads_n
+                held = [None] * threads_n
+
+                def run(slot):
+                    barrier.wait()
+                    timing = get_backend(name).layer_timing(
+                        work, PAPER_CONFIG, bank
+                    )
+                    records[slot] = timing_record(timing)
+                    held[slot] = derive(bank)
+
+                threads = [
+                    threading.Thread(target=run, args=(i,))
+                    for i in range(threads_n)
+                ]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+                    assert not thread.is_alive()
+                expected = timing_record(
+                    ORACLES[name](work, PAPER_CONFIG, bank)
+                )
+                assert records == [expected] * threads_n
+                assert all(entry is held[0] for entry in held)
+        finally:
+            sys.setswitchinterval(interval)

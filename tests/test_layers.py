@@ -37,6 +37,21 @@ class TestPadInput:
         with pytest.raises(ValueError):
             F.pad_input(np.ones((1, 2, 2)), -1)
 
+    @pytest.mark.parametrize("shape", [(3, 5, 4), (2, 3, 5, 4)])
+    @pytest.mark.parametrize("pad", [0, 1, 2, 3])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_bytes_equal_np_pad(self, shape, pad, dtype):
+        a = np.random.default_rng(4).normal(size=shape).astype(dtype)
+        a.flat[0] = -0.0
+        a.flat[1] = np.nan
+        a.flat[-1] = -np.inf
+        width = [(0, 0)] * (a.ndim - 2) + [(pad, pad), (pad, pad)]
+        expected = np.pad(a, width)
+        padded = F.pad_input(a, pad)
+        assert padded.dtype == expected.dtype
+        assert padded.shape == expected.shape
+        assert padded.tobytes() == expected.tobytes()
+
 
 conv_cases = st.tuples(
     st.integers(1, 6),  # depth

@@ -54,6 +54,7 @@ from repro.serve import (
     run_load,
     summarize,
 )
+from repro.serve.hashring import HashRing
 from repro.serve.shard import BadFrame, encode_frame, read_frame
 from repro.settings import Settings
 
@@ -482,6 +483,35 @@ class TestRouterValidation:
         assert response.status == "shed"
         assert response.code == 429
         assert response.payload["backlog"] == 2
+
+    def test_a_request_walks_the_ring_once(self, cache_dir, monkeypatch):
+        """Admission and the first forward share one ring walk: the
+        backlog check reads its head and the forward routes on it."""
+        walks = []
+        walk = HashRing.preference
+
+        def counted(ring, key, limit=None):
+            walks.append(key)
+            return walk(ring, key, limit)
+
+        async def _go():
+            service = ShardedService(
+                det_config(), tier=ShardTierConfig(shards=2),
+                cache_dir=cache_dir,
+            )
+            await service.start()
+            try:
+                monkeypatch.setattr(HashRing, "preference", counted)
+                return await service.submit(
+                    ServeRequest(id="w", kind="classify", network="alex")
+                )
+            finally:
+                monkeypatch.undo()
+                await service.stop()
+
+        response = asyncio.run(_go())
+        assert response.status == "ok"
+        assert len(walks) == 1
 
 
 class TestSweepAffinity:
