@@ -44,9 +44,11 @@ def natural_image(
     amplitude = 1.0
     decay = rng.uniform(0.35, 0.75)  # per-image spectral slope
     while sigma <= max_sigma:
-        noise = rng.normal(size=shape)
-        smooth = np.stack(
-            [ndimage.gaussian_filter(noise[z], sigma=sigma) for z in range(depth)]
+        # One filter call over the whole stack: a zero sigma skips the
+        # channel axis, so each plane sees the same 1-D passes as a
+        # per-plane call would give it, byte for byte.
+        smooth = ndimage.gaussian_filter(
+            rng.normal(size=shape), sigma=(0, sigma, sigma)
         )
         std = smooth.std()
         if std > 0:
@@ -57,8 +59,9 @@ def natural_image(
     illum = ndimage.gaussian_filter(
         rng.normal(size=(height, width)), sigma=max(height, width) / 4
     )
-    if illum.std() > 0:
-        image *= 1.0 + 0.5 * illum / (3 * illum.std())
+    illum_std = illum.std()
+    if illum_std > 0:
+        image *= 1.0 + 0.5 * illum / (3 * illum_std)
     image += 0.3 * rng.normal(size=(depth, 1, 1))  # per-channel cast
     lo, hi = image.min(), image.max()
     if hi > lo:

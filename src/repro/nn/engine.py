@@ -73,9 +73,8 @@ def attach_shared_weights(manifest: dict) -> dict[str, WeightStore]:
     from repro.nn.shm import SharedWeightArena
 
     arena = SharedWeightArena.attach(manifest)
-    # Keep the mapping object alive for the process lifetime: the views
-    # pin the buffer, but letting the SharedMemory handle be collected
-    # would run its close() finalizer against an exported buffer.
+    # The views keep the mapping alive on their own; the shard keeps the
+    # handle for its CRC rechecks and fault sites (attached_arenas()).
     _ATTACHED_ARENAS.append(arena)
     obs.counter_add("engine.shared.attached")
     obs.gauge_max(
@@ -84,8 +83,8 @@ def attach_shared_weights(manifest: dict) -> dict[str, WeightStore]:
     return arena.stores
 
 
-#: Arenas attached by this process (held so finalizers never fire while
-#: zero-copy weight views are live).
+#: Arenas attached by this process: a shard's arena handle, held for
+#: the process lifetime.
 _ATTACHED_ARENAS: list = []
 
 

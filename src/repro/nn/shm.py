@@ -8,7 +8,11 @@ packs all weight and bias arrays of every network into **one**
 *attaches* by name and rebuilds its stores as zero-copy, read-only numpy
 views over the same physical pages — the forward path never writes
 weights, so one set of pages serves every shard regardless of the
-per-shard ``CNVLUTIN_ENGINE_CACHE_MB`` activation-cache budget.
+per-shard ``CNVLUTIN_ENGINE_CACHE_MB`` activation-cache budget.  The
+owner computes on the same kind of views: :meth:`SharedWeightArena.
+publish` returns view stores over the block it just wrote, so once the
+owner rebinds its networks to them the arena is the only copy of the
+weights, and processes forked from the owner inherit no private one.
 
 Layout and bit-identity
 -----------------------
@@ -43,8 +47,15 @@ Ownership / cleanup protocol (documented in DESIGN.md)
   the first shard exits; :meth:`attach` therefore unregisters the
   attachment immediately (the documented workaround until the 3.13
   ``track=False`` parameter).
-* ``close()`` is best-effort on both sides: live numpy views export the
-  buffer, and tearing them down is the process-exit path anyway.
+* Every view is carved from one ``np.frombuffer`` array over the whole
+  block (:func:`_view_stores`, shared by publish and attach).  That
+  array holds a buffer export on the mapping, so ``close()`` cannot
+  unmap the block under a live view (``np.ndarray(buffer=shm.buf)``
+  keeps only the mmap object, which ``close()`` then unmaps: the next
+  read of the view segfaults).  While views live, ``close()`` leaves
+  the mapping in place; a finalizer on the export releases the handle
+  when the last view dies, so a dropped arena's handle never runs its
+  own ``__del__`` against an exported buffer.
 * Blocks are named ``cnvlutin-<owner pid>-<token>`` and every owner
   arena is registered for ``atexit`` unlink, so a router that exits
   without reaching ``stop()`` still cleans up.  A router killed with
@@ -73,6 +84,7 @@ __all__ = [
     "SharedWeightArena",
     "sweep_stale_arenas",
     "process_pss_kb",
+    "process_rss_kb",
     "ARENA_PREFIX",
 ]
 
@@ -126,6 +138,47 @@ def _shift_from_json(value):
     return np.asarray(value) if isinstance(value, list) else float(value)
 
 
+def _view_stores(
+    shm: shared_memory.SharedMemory, manifest: dict
+) -> dict[str, WeightStore]:
+    """Read-only view stores over every segment ``manifest`` names.
+
+    The one way arena views are built (publish and attach both call it).
+    Every view is carved from one ``np.frombuffer`` array over the whole
+    block; the memoryview that array holds exports the mapping, so no
+    ``close()`` can unmap the block while a view is alive.  A finalizer
+    on that memoryview releases ``shm`` when the last view dies: it
+    keeps the handle alive until then, so the handle's ``__del__`` never
+    meets an exported buffer.
+    """
+    block = np.frombuffer(shm.buf, dtype=np.uint8)
+    weakref.finalize(block.base, shm.close).atexit = False
+    stores: dict[str, WeightStore] = {}
+    for network, entry in manifest["networks"].items():
+        sections: dict[str, dict[str, np.ndarray]] = {}
+        for section in ("weights", "biases"):
+            arrays = {}
+            for layer, meta in entry[section].items():
+                view = np.ndarray(
+                    tuple(meta["shape"]),
+                    dtype=np.dtype(meta["dtype"]),
+                    buffer=block,
+                    offset=meta["offset"],
+                )
+                view.flags.writeable = False
+                arrays[layer] = view
+            sections[section] = arrays
+        stores[network] = WeightStore(
+            weights=sections["weights"],
+            biases=sections["biases"],
+            shifts={
+                layer: _shift_from_json(value)
+                for layer, value in entry["shifts"].items()
+            },
+        )
+    return stores
+
+
 @dataclass(eq=False)  # identity hash: arenas live in a WeakSet for atexit
 class SharedWeightArena:
     """One shared block holding every published array, plus its manifest."""
@@ -143,8 +196,12 @@ class SharedWeightArena:
         """Pack the arrays of every store into one new shared block.
 
         Returns an arena whose ``manifest`` is JSON-safe (what a shard
-        spec carries) and whose ``stores`` are the original private
-        stores, untouched — the owner keeps computing on its own copies.
+        spec carries) and whose ``stores`` are read-only views into the
+        block just written, built as :meth:`attach` builds them.  The
+        owner rebinds its networks to those views and drops the private
+        stores, so the block is the only copy of the weights.  The
+        CRC32s are taken while the block is written: the views need no
+        second pass.
         """
         plan: list[tuple[str, str, str, np.ndarray, int]] = []
         offset = 0
@@ -160,10 +217,9 @@ class SharedWeightArena:
         shm = _new_block(max(offset, 1))
         networks: dict[str, dict] = {}
         for network, section, layer, arr, start in plan:
-            view = np.ndarray(
+            np.ndarray(
                 arr.shape, dtype=arr.dtype, buffer=shm.buf, offset=start
-            )
-            view[...] = arr
+            )[...] = arr
             entry = networks.setdefault(
                 network, {"weights": {}, "biases": {}, "shifts": {}}
             )
@@ -185,7 +241,10 @@ class SharedWeightArena:
                 for layer, value in store.shifts.items()
             }
         manifest = {"shm": shm.name, "bytes": offset, "networks": networks}
-        arena = cls(shm=shm, manifest=manifest, stores=dict(stores), owner=True)
+        arena = cls(
+            shm=shm, manifest=manifest, stores=_view_stores(shm, manifest),
+            owner=True,
+        )
         _OWNED_ARENAS.add(arena)
         return arena
 
@@ -213,30 +272,10 @@ class SharedWeightArena:
             shm = shared_memory.SharedMemory(name=manifest["shm"], create=False)
         finally:
             resource_tracker.register = original_register
-        stores: dict[str, WeightStore] = {}
-        for network, entry in manifest["networks"].items():
-            sections: dict[str, dict[str, np.ndarray]] = {}
-            for section in ("weights", "biases"):
-                arrays = {}
-                for layer, meta in entry[section].items():
-                    view = np.ndarray(
-                        tuple(meta["shape"]),
-                        dtype=np.dtype(meta["dtype"]),
-                        buffer=shm.buf,
-                        offset=meta["offset"],
-                    )
-                    view.flags.writeable = False
-                    arrays[layer] = view
-                sections[section] = arrays
-            stores[network] = WeightStore(
-                weights=sections["weights"],
-                biases=sections["biases"],
-                shifts={
-                    layer: _shift_from_json(value)
-                    for layer, value in entry["shifts"].items()
-                },
-            )
-        arena = cls(shm=shm, manifest=manifest, stores=stores, owner=False)
+        arena = cls(
+            shm=shm, manifest=manifest, stores=_view_stores(shm, manifest),
+            owner=False,
+        )
         if verify:
             corrupt = arena.verify()
             if corrupt:
@@ -295,8 +334,13 @@ class SharedWeightArena:
     # cleanup
     # ------------------------------------------------------------------
     def close(self) -> None:
-        """Drop this process's mapping (best-effort: live views keep the
-        buffer exported, and process exit unmaps regardless)."""
+        """Release this process's handle on the block.
+
+        Views over the block export its mapping, so while one is alive
+        the mapping stays (the view remains readable) and the handle is
+        released by the finalizer :func:`_view_stores` set, once the
+        last view dies.
+        """
         try:
             self.shm.close()
         except BufferError:
@@ -374,3 +418,25 @@ def process_pss_kb(pid: int) -> int | None:
     except (FileNotFoundError, PermissionError, ProcessLookupError, OSError):
         return None
     return None
+
+
+def process_rss_kb(pid: int) -> dict[str, int] | None:
+    """A process's anonymous and shared resident set in KiB.
+
+    ``{"rss_anon_kb", "rss_shmem_kb"}`` from ``/proc/<pid>/status``: the
+    arena's pages count as shared memory in every process that touched
+    them, so a process holding a private copy of the weights shows it
+    as anonymous memory.  ``None`` where the kernel interface is
+    unavailable.
+    """
+    fields = {"RssAnon:": "rss_anon_kb", "RssShmem:": "rss_shmem_kb"}
+    found = {}
+    try:
+        with open(f"/proc/{pid}/status") as handle:
+            for line in handle:
+                parts = line.split()
+                if parts and parts[0] in fields:
+                    found[fields[parts[0]]] = int(parts[1])
+    except OSError:
+        return None
+    return found if len(found) == len(fields) else None

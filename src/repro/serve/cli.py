@@ -66,6 +66,7 @@ import argparse
 import asyncio
 import dataclasses
 import json
+import os
 import signal
 import sys
 
@@ -362,8 +363,9 @@ async def _loadgen_async(args) -> int:
         summary = summarize(result)
         if args.verify_bytes:
             summary["byte_mismatches"] = await _verify_bytes(
-                service, requests, result
+                config, requests, result
             )
+        memory = _tier_memory(service)
     finally:
         await service.stop()
     print(json.dumps(summary, indent=2))
@@ -389,6 +391,8 @@ async def _loadgen_async(args) -> int:
             "summary": summary,
             "metrics": obs.get_metrics().snapshot(),
         }
+        if memory:
+            report["memory"] = memory
         with open(args.json, "w") as handle:
             json.dump(report, handle, indent=2)
         print(f"wrote report {args.json}")
@@ -399,12 +403,38 @@ async def _loadgen_async(args) -> int:
     return 1 if failed else 0
 
 
-async def _verify_bytes(service, requests, result) -> int:
-    """Count ok responses whose canonical bytes diverge from direct
-    inference — the zero-corrupted-responses gate of the chaos suite."""
-    from repro.serve.models import direct_response
+def _tier_memory(service) -> dict[str, dict[str, int]]:
+    """Anonymous and shared RSS of this process and every live shard
+    (:func:`repro.nn.shm.process_rss_kb`); empty where ``/proc`` is
+    missing."""
+    from repro.nn.shm import process_rss_kb
 
-    repo = service.repo  # InferenceService and ShardedService both carry one
+    sharded = isinstance(service, ShardedService)
+    pids = {"router" if sharded else "service": os.getpid()}
+    if sharded:
+        pids.update(
+            (f"shard{index}", pid)
+            for index, pid in sorted(service.shard_pids().items())
+        )
+    memory = {}
+    for name, pid in pids.items():
+        rss = process_rss_kb(pid)
+        if rss is not None:
+            memory[name] = {"pid": pid, **rss}
+    return memory
+
+
+async def _verify_bytes(config: ServeConfig, requests, result) -> int:
+    """Count ok responses whose canonical bytes diverge from direct
+    inference — the zero-corrupted-responses gate of the chaos suite.
+
+    The reference is a fresh repository (weights drawn from the seed,
+    calibration from the artifact cache), never the service's own: the
+    sharded router computes on the arena it would be checking.
+    """
+    from repro.serve.models import ModelRepository, direct_response
+
+    repo = ModelRepository(config.paper_config())
     by_id: dict[str, ServeRequest] = {}
     for request in requests:
         by_id.setdefault(request.id, request)

@@ -18,9 +18,12 @@ read_frame`; the shard module documents the envelopes):
    count while each process stays inside its own ``engine_cache_mb``
    budget.
 2. **Shared weights.** The router builds the calibrated stores once,
-   publishes them into one :class:`~repro.nn.shm.SharedWeightArena`,
-   and shards attach zero-copy read-only views — adding a shard adds
-   engine-cache pages, not weight copies.
+   one network at a time, publishes them into one
+   :class:`~repro.nn.shm.SharedWeightArena`, and rebinds its own
+   networks to the read-only views ``publish`` returns, so the private
+   arrays are freed before the first shard is forked.  Shards attach
+   the same views: the arena is the tier's only copy of the weights,
+   and adding a shard adds engine-cache pages, not weight copies.
 3. **Backpressure.** Each shard connection has a bounded in-flight
    *window* (semaphore) plus a bounded waiting *backlog*; a request
    arriving past the backlog is shed at the router (HTTP-429 style),
@@ -42,11 +45,13 @@ read_frame`; the shard module documents the envelopes):
    its process terminated, and a respawn scheduled through the normal
    :class:`~repro.reliability.RespawnPolicy` path.  Before respawning,
    the router verifies its *own* arena view; if the shared pages really
-   are corrupt it **republishes** a fresh arena from the calibrated
-   stores so the new generation (and later respawns) attach clean
-   weights.  ``start()`` also sweeps stale ``cnvlutin-*`` shared-memory
-   segments left by dead processes (:func:`repro.nn.shm.
-   sweep_stale_arenas`).
+   are corrupt it **republishes**: a fresh context draws the weights
+   from the seed and reads the calibration from the artifact cache (the
+   corrupt pages are the router's only copy), off the event loop and
+   under one lock, so the new generation (and later respawns) attach
+   clean weights.  ``start()`` also sweeps stale ``cnvlutin-*``
+   shared-memory segments left by dead processes
+   (:func:`repro.nn.shm.sweep_stale_arenas`).
 
 Observability: ``router.requests`` / ``router.forwarded`` (+
 ``router.forwarded.shard<i>``) / ``router.shed`` / ``router.retries`` /
@@ -273,8 +278,9 @@ class ShardedService:
         self.injector = injector if injector is not None else FaultInjector.from_settings()
         self.cache_dir = cache_dir
         # Router-side context: builds the calibrated stores once (from the
-        # artifact cache) for publication; also answers request validation
-        # (known networks, probe-image count) without a socket round trip.
+        # artifact cache) for publication, then computes (canary goldens)
+        # on the arena's views; also answers request validation (known
+        # networks, probe-image count) without a socket round trip.
         self.context = ExperimentContext(self.config.paper_config(cache_dir))
         self.repo = ModelRepository(context=self.context)
         self.arena: SharedWeightArena | None = None
@@ -288,6 +294,10 @@ class ShardedService:
         self._stopping = False
         self._quarantined: set[int] = set()
         self._golden: dict[str, bytes] = {}
+        #: Serializes arena checks and republishes: two quarantines for
+        #: one flip republish once, and a canary golden is never taken
+        #: from an arena a republish is replacing.
+        self._republish_lock = asyncio.Lock()
         #: This process's BLAS count, decided in start() and shipped in
         #: every shard spec (respawns included).
         self._blas_threads: int | None = None
@@ -335,10 +345,7 @@ class ShardedService:
         # Every shard runs its own workers, so the tier's streams are
         # shards x per-shard workers; decided before calibration below.
         self._blas_threads = blas.decide(self.tier.shards * self.config.streams)
-        stores = {
-            name: self.repo.entry(name).store for name in self.repo.networks
-        }
-        self.arena = SharedWeightArena.publish(stores)
+        self._bind(self._publish(self.context))
         self._socket_dir = tempfile.mkdtemp(prefix="cnvlutin-shards-")
         clients = [self._spawn(index) for index in range(self.tier.shards)]
         await asyncio.gather(
@@ -355,6 +362,25 @@ class ShardedService:
         obs.gauge_set("router.live_shards", len(self._clients))
         if self.tier.canary_interval_s is not None:
             self._in_background(self._canary_loop())
+
+    def _publish(self, context: ExperimentContext) -> SharedWeightArena:
+        """Publish ``context``'s calibrated stores into a new arena.
+
+        The networks build one at a time: built concurrently in worker
+        threads, their private arrays outlived the build and reached the
+        forked shards.
+        """
+        return SharedWeightArena.publish(
+            {name: context.network_ctx(name).store for name in self.repo.networks}
+        )
+
+    def _bind(self, arena: SharedWeightArena) -> None:
+        """Make ``arena`` current and compute on its views: rebinding
+        each network's store drops the router's last reference to the
+        private arrays it replaces."""
+        self.arena = arena
+        for name, store in arena.stores.items():
+            self.repo.entry(name).store = store
 
     def _in_background(self, coro) -> None:
         """Run ``coro`` as a task that ``stop()`` cancels and awaits."""
@@ -375,6 +401,10 @@ class ShardedService:
             return
         await self.drain()
         self._stopping = True
+        # A republish in flight finishes (its new block must be bound to
+        # be unlinked below); later ones see _stopping and do nothing.
+        async with self._republish_lock:
+            pass
         for task in list(self._background):
             task.cancel()
         await asyncio.gather(*self._background, return_exceptions=True)
@@ -643,7 +673,7 @@ class ShardedService:
         if index in self.ring:
             self.ring.remove(index)
         obs.gauge_set("router.live_shards", len(self.ring))
-        self._republish_if_corrupt()
+        await self._republish_if_corrupt()
         # close() clears the on_down callback first, so tearing the
         # connection down here cannot double-schedule a respawn.
         await client.close()
@@ -654,21 +684,60 @@ class ShardedService:
         self._quarantined.discard(index)
         await self._respawn(index)
 
-    def _republish_if_corrupt(self) -> None:
-        """Republish the arena from the calibrated stores — but only if
-        the router's own view really fails CRC.  Several shards
-        reporting one stale flip must trigger one republish, not one
-        per report; and an ABFT-only transient (arena clean) must not
-        churn the arena at all."""
-        if self.arena is None or not self.arena.verify():
-            return
-        stores = {
-            name: self.repo.entry(name).store for name in self.repo.networks
-        }
-        old, self.arena = self.arena, SharedWeightArena.publish(stores)
+    async def _republish_if_corrupt(self) -> None:
+        """Republish the arena — but only if the router's own view
+        really fails CRC.  Several shards reporting one stale flip must
+        trigger one republish, not one per report (the lock makes the
+        second report check the arena the first one published); and an
+        ABFT-only transient (arena clean) must not churn the arena at
+        all."""
+        async with self._republish_lock:
+            await self._republish_locked()
+
+    async def _republish_locked(self) -> bool:
+        """Under ``_republish_lock``: verify the arena and, if it fails
+        CRC, rebuild it.  Returns whether it republished.
+
+        The arena is the router's only copy of the weights, so clean
+        bytes come the way ``start()`` got them: a fresh context draws
+        them from the seed and reads the calibration from the artifact
+        cache.  The check and the rebuild run in a worker thread, so the
+        event loop keeps serving; the router rebinds to the new views
+        once they are complete.
+        """
+        if self._stopping or self.arena is None:
+            return False
+        if not await asyncio.to_thread(self.arena.verify):
+            return False
+        fresh = await asyncio.to_thread(
+            lambda: self._publish(
+                ExperimentContext(self.config.paper_config(self.cache_dir))
+            )
+        )
+        old = self.arena
+        self._bind(fresh)
         old.unlink()
         old.close()
         obs.counter_add("integrity.republishes")
+        return True
+
+    async def _golden_bytes(self, network: str) -> bytes:
+        """The canary's expected bytes for ``network``.
+
+        Computed on the router's arena views and kept only if the arena
+        still matches its publish-time CRCs afterwards (flips persist,
+        so a clean check after the forward means clean bytes during
+        it); a corrupt arena is republished first, so no flip that
+        precedes the first canary run ever becomes the golden.
+        """
+        request = self._canary_request(network)
+        async with self._republish_lock:
+            while True:
+                golden = canonical_response_bytes(
+                    await asyncio.to_thread(direct_response, self.repo, request)
+                )
+                if not await self._republish_locked():
+                    return golden
 
     def _canary_request(self, network: str) -> ServeRequest:
         return ServeRequest(
@@ -684,13 +753,9 @@ class ShardedService:
         for network in self.repo.networks:
             golden = self._golden.get(network)
             if golden is None:
-                request = self._canary_request(network)
-                golden = canonical_response_bytes(
-                    await asyncio.to_thread(
-                        direct_response, self.repo, request
-                    )
+                golden = self._golden[network] = await self._golden_bytes(
+                    network
                 )
-                self._golden[network] = golden
             payload = self._canary_request(network).to_payload()
             for client in list(self._clients.values()):
                 if not client.alive or client.index in self._quarantined:

@@ -106,3 +106,48 @@ class TestBrickCounts:
         a[3] = 2.0
         counts = brick_nonzero_counts(a, brick_size=4)
         assert counts[0, 0, 0] == 2
+
+
+def _natural_image_per_plane(shape, rng):
+    """Oracle: the per-channel form natural_image had before it filtered
+    each octave as one stack (one gaussian_filter call per plane)."""
+    from scipy import ndimage
+
+    depth, height, width = shape
+    image = np.zeros(shape, dtype=np.float64)
+    max_sigma = max(height, width) / 8
+    sigma = 1.0
+    amplitude = 1.0
+    decay = rng.uniform(0.35, 0.75)
+    while sigma <= max_sigma:
+        noise = rng.normal(size=shape)
+        smooth = np.stack(
+            [ndimage.gaussian_filter(noise[z], sigma=sigma) for z in range(depth)]
+        )
+        std = smooth.std()
+        if std > 0:
+            image += amplitude * rng.uniform(0.5, 1.5) * smooth / std
+        sigma *= 2.0
+        amplitude *= decay
+    illum = ndimage.gaussian_filter(
+        rng.normal(size=(height, width)), sigma=max(height, width) / 4
+    )
+    if illum.std() > 0:
+        image *= 1.0 + 0.5 * illum / (3 * illum.std())
+    image += 0.3 * rng.normal(size=(depth, 1, 1))
+    lo, hi = image.min(), image.max()
+    if hi > lo:
+        image = (image - lo) / (hi - lo)
+    return image
+
+
+@pytest.mark.parametrize(
+    "shape",
+    [(3, 67, 67), (3, 64, 64), (3, 115, 115), (3, 112, 112), (3, 224, 224),
+     (3, 227, 227), (1, 33, 50), (5, 40, 29)],
+)
+def test_natural_image_stacked_filter_matches_per_plane_oracle(shape):
+    for seed in range(3):
+        got = natural_image(shape, np.random.default_rng(seed))
+        want = _natural_image_per_plane(shape, np.random.default_rng(seed))
+        assert got.tobytes() == want.tobytes(), (shape, seed)

@@ -53,6 +53,7 @@ from repro.serve import (
     run_load,
 )
 from repro.settings import Settings
+from test_serve_sharded import fresh_repo
 
 SERVE_NETWORKS = ("alex",)
 
@@ -112,9 +113,10 @@ def assert_all_ok_and_byte_identical(result, service, requests):
     by_id = {}
     for request in requests:
         by_id.setdefault(request.id, request)
+    repo = fresh_repo(service)
     for rid, response in result.responses.items():
         assert response.status == "ok", (rid, response.payload)
-        direct = direct_response(service.repo, by_id[rid])
+        direct = direct_response(repo, by_id[rid])
         assert canonical_response_bytes(response) == (
             canonical_response_bytes(direct)
         ), f"corrupted bytes accepted for {rid}"
@@ -214,7 +216,7 @@ class TestCanarySweep:
                 )
                 response = await service.submit(request)
                 assert response.status == "ok"
-                direct = direct_response(service.repo, request)
+                direct = direct_response(fresh_repo(service), request)
                 assert canonical_response_bytes(response) == (
                     canonical_response_bytes(direct)
                 )

@@ -35,7 +35,7 @@ from repro.serve import (
     direct_response,
     execute_batch,
 )
-from test_serve_sharded import det_config, drive_sharded
+from test_serve_sharded import det_config, drive_sharded, fresh_repo
 
 SERVE_NETWORKS = ("alex", "cnnS")
 
@@ -80,10 +80,11 @@ class TestBackendDifferential:
             requests, cache_dir,
         )
         assert len(result.responses) == len(requests)
+        repo = fresh_repo(service)
         for request in requests:
             response = result.responses[request.id]
             assert response.status == "ok", (request.id, response.payload)
-            reference = direct_response(service.repo, request)
+            reference = direct_response(repo, request)
             assert canonical_response_bytes(response) == (
                 canonical_response_bytes(reference)
             ), request.id

@@ -29,6 +29,10 @@ import dataclasses
 import json
 import os
 import stat
+import subprocess
+import sys
+import textwrap
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -38,7 +42,7 @@ import repro.settings
 from repro import obs
 from repro.nn import blas
 from repro.nn.inference import WeightStore
-from repro.nn.shm import SharedWeightArena, process_pss_kb
+from repro.nn.shm import SharedWeightArena, process_pss_kb, process_rss_kb
 from repro.obs.report import metrics_report
 from repro.reliability import FaultInjector, RespawnPolicy, RetryPolicy
 from repro.reliability.faults import parse_faults
@@ -55,6 +59,7 @@ from repro.serve import (
     summarize,
 )
 from repro.serve.hashring import HashRing
+from repro.serve.models import ModelRepository
 from repro.serve.shard import BadFrame, encode_frame, read_frame
 from repro.settings import Settings
 
@@ -66,6 +71,14 @@ def cache_dir(tmp_path_factory):
     """One artifact-cache directory for the whole module: calibration is
     computed by the first service start and reused by every later one."""
     return tmp_path_factory.mktemp("sharded-artifacts")
+
+
+def fresh_repo(service) -> ModelRepository:
+    """The direct-inference reference for ``service``: a repository of
+    its own, weights drawn from the seed and calibration read from the
+    artifact cache.  The router computes on the arena's views, so its
+    repository would read the very pages it checks."""
+    return ModelRepository(service.config.paper_config(service.cache_dir))
 
 
 def det_config(**overrides) -> ServeConfig:
@@ -200,6 +213,50 @@ class TestSharedWeightArena:
         assert pss is None or pss > 0
         assert process_pss_kb(2**30) is None
 
+    def test_views_outlive_close_and_the_arena(self):
+        """A view stays readable after close() and after its arena is
+        dropped, and the handle's release prints nothing.  Run in a
+        subprocess: a view over an unmapped block segfaults."""
+        script = textwrap.dedent("""
+            import gc
+            import numpy as np
+            from repro.nn.inference import WeightStore
+            from repro.nn.shm import SharedWeightArena
+
+            weights = np.arange(4096, dtype=np.float32).reshape(64, 64)
+            arena = SharedWeightArena.publish({"net": WeightStore(
+                weights={"fc1": weights}, biases={"fc1": weights[0]},
+            )})
+            attached = SharedWeightArena.attach(arena.manifest)
+            owned = arena.stores["net"].weights["fc1"]
+            view = attached.stores["net"].weights["fc1"]
+            total = float(weights.sum())
+            attached.close()
+            arena.unlink()
+            arena.close()
+            assert float(view.sum()) == total
+            assert float(owned.sum()) == total
+            del arena, attached
+            gc.collect()
+            assert float(view.sum()) == total
+            assert float(owned.sum()) == total
+            print("ok")
+        """)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(Path(__file__).resolve().parent.parent / "src")
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True,
+            env=env, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "ok"
+        assert "BufferError" not in proc.stderr, proc.stderr
+
+    def test_process_rss_kb(self):
+        rss = process_rss_kb(os.getpid())
+        assert rss is None or rss["rss_anon_kb"] > 0
+        assert process_rss_kb(2**30) is None
+
 
 def mixed_workload() -> list[ServeRequest]:
     """Seeded + probe requests, all three kinds, plus threshold groups."""
@@ -227,10 +284,11 @@ class TestShardedDifferential:
             requests, cache_dir,
         )
         assert len(result.responses) == len(requests)
+        repo = fresh_repo(service)
         for request in requests:
             response = result.responses[request.id]
             assert response.status == "ok", response.payload
-            reference = direct_response(service.repo, request)
+            reference = direct_response(repo, request)
             assert canonical_response_bytes(response) == (
                 canonical_response_bytes(reference)
             )
@@ -431,6 +489,187 @@ class TestShardHandOffAtStop:
         ), report
 
 
+def assert_views_inside(arena) -> None:
+    """Every array of the router's stores is a read-only view into
+    ``arena``'s block."""
+    bounds = np.lib.array_utils.byte_bounds
+    low, high = bounds(np.frombuffer(arena.shm.buf, dtype=np.uint8))
+    for store in arena.stores.values():
+        for arr in (*store.weights.values(), *store.biases.values()):
+            start, end = bounds(arr)
+            assert low <= start and end <= high
+            assert not arr.flags.writeable
+
+
+class TestOneWeightCopy:
+    """The arena is the tier's only copy of the weights: the router
+    computes on its views, and forked shards inherit no private copy."""
+
+    def test_router_binds_views_and_forks_no_private_copy(
+        self, cache_dir, monkeypatch
+    ):
+        import repro.experiments.context as context_module
+        from repro.serve.router import ShardedService as Service
+
+        drawn: list[weakref.ref] = []
+        original_init = context_module.init_weights
+
+        def recording_init(network, rng):
+            store = original_init(network, rng)
+            drawn.extend(
+                weakref.ref(arr)
+                for arr in (*store.weights.values(), *store.biases.values())
+            )
+            return store
+
+        alive_at_spawn: list[int] = []
+        original_spawn = Service._spawn
+
+        def checking_spawn(self, index):
+            if not alive_at_spawn:
+                alive_at_spawn.append(sum(ref() is not None for ref in drawn))
+            return original_spawn(self, index)
+
+        monkeypatch.setattr(context_module, "init_weights", recording_init)
+        monkeypatch.setattr(Service, "_spawn", checking_spawn)
+        requests = build_requests(4, networks=list(SERVE_NETWORKS), seed=5)
+
+        async def _go():
+            service = ShardedService(
+                det_config(), tier=ShardTierConfig(shards=2),
+                cache_dir=cache_dir,
+            )
+            await service.start()
+            try:
+                await run_load(service, requests)
+                stores = [
+                    service.repo.entry(name).store
+                    for name in service.repo.networks
+                ]
+                assert stores == [
+                    service.arena.stores[name] for name in service.repo.networks
+                ]
+                assert_views_inside(service.arena)
+            finally:
+                await service.stop()
+
+        asyncio.run(_go())
+        assert drawn, "init_weights never ran"
+        assert alive_at_spawn == [0]
+
+    def test_forked_shards_hold_less_anonymous_memory_than_the_arena(
+        self, cache_dir, tmp_path
+    ):
+        """A shard forked from a router that kept a private copy of the
+        weights shows it as anonymous memory larger than the arena.  Run
+        through loadgen in a fresh process: a shard forked from this
+        test process would inherit everything earlier tests allocated."""
+        if process_rss_kb(os.getpid()) is None:
+            pytest.skip("no /proc/<pid>/status")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(Path(__file__).resolve().parent.parent / "src")
+        env["CNVLUTIN_CACHE_DIR"] = str(cache_dir)
+        report_path = tmp_path / "report.json"
+        proc = subprocess.run(
+            [
+                sys.executable, "-m", "repro.serve.cli", "loadgen",
+                "--requests", "16", "--scale", "tiny",
+                "--networks", ",".join(SERVE_NETWORKS), "--deterministic",
+                "--queue-limit", "256", "--shards", "2",
+                "--sweep-groups", "4", "--json", str(report_path),
+            ],
+            capture_output=True, text=True, env=env, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        report = json.loads(report_path.read_text())
+        arena = report["metrics"]["gauges"]["engine.shared.bytes.max"]
+        shards = {
+            name: rss for name, rss in report["memory"].items()
+            if name.startswith("shard")
+        }
+        assert len(shards) == 2, report["memory"]
+        for name, rss in shards.items():
+            assert rss["rss_anon_kb"] * 1024 < arena, (name, rss, arena)
+
+    def test_concurrent_quarantines_republish_once_from_the_seed(
+        self, cache_dir
+    ):
+        from repro.serve.shard import _corrupt_arena
+
+        obs.reset_metrics()
+
+        async def _go():
+            service = ShardedService(
+                det_config(), tier=ShardTierConfig(shards=2),
+                cache_dir=cache_dir,
+            )
+            await service.start()
+            try:
+                first = service.arena
+                crcs = [segment[3] for segment in first._segments()]
+                _corrupt_arena(first)
+                clients = list(service._clients.values())
+                await asyncio.gather(
+                    *(service._quarantine(client, "crc") for client in clients)
+                )
+                counters = obs.get_metrics().counters
+                assert counters.get("integrity.republishes") == 1
+                assert service.arena is not first
+                assert [s[3] for s in service.arena._segments()] == crcs
+                assert service.arena.verify() == []
+                assert_views_inside(service.arena)
+                assert all(
+                    service.repo.entry(name).store is service.arena.stores[name]
+                    for name in service.repo.networks
+                )
+                request = ServeRequest(
+                    id="healed", kind="classify", network=SERVE_NETWORKS[0],
+                    image_index=0,
+                )
+                response = await service.submit(request)
+            finally:
+                await service.stop()
+            return service, request, response
+
+        service, request, response = asyncio.run(_go())
+        assert response.status == "ok", response.payload
+        assert canonical_response_bytes(response) == canonical_response_bytes(
+            direct_response(fresh_repo(service), request)
+        )
+
+    def test_arena_corrupted_before_the_first_canary_is_never_golden(
+        self, cache_dir
+    ):
+        from repro.serve.shard import _corrupt_arena
+
+        obs.reset_metrics()
+        network = SERVE_NETWORKS[0]
+
+        async def _go():
+            service = ShardedService(
+                det_config(), tier=ShardTierConfig(shards=1),
+                cache_dir=cache_dir,
+            )
+            await service.start()
+            try:
+                _corrupt_arena(service.arena)
+                await service.run_canary()
+            finally:
+                await service.stop()
+            return service
+
+        service = asyncio.run(_go())
+        expected = canonical_response_bytes(
+            direct_response(
+                fresh_repo(service), service._canary_request(network)
+            )
+        )
+        assert service._golden[network] == expected
+        counters = obs.get_metrics().counters
+        assert counters.get("integrity.republishes") == 1
+        assert counters.get("integrity.detected.canary", 0) >= 1
+
+
 class TestRouterValidation:
     def test_unknown_network_and_bad_probe_index(self, cache_dir):
         async def _go():
@@ -558,10 +797,11 @@ class TestSpawnStartMethod:
         counters = obs.get_metrics().counters  # merged from the shard
         assert counters.get("integrity.checks.abft", 0) > 0
         assert repro.settings.current() is router_settings
+        repo = fresh_repo(service)
         for request in requests:
             response = result.responses[request.id]
             assert response.status == "ok"
-            reference = direct_response(service.repo, request)
+            reference = direct_response(repo, request)
             assert canonical_response_bytes(response) == (
                 canonical_response_bytes(reference)
             )
