@@ -38,7 +38,7 @@ from repro.nn.calibration import (
 )
 from repro.nn.datasets import natural_images
 from repro.nn.engine import IncrementalForwardEngine
-from repro.nn.inference import ForwardResult, WeightStore, init_weights, slice_result
+from repro.nn.inference import ForwardResult, WeightStore, draw_weights, slice_result
 from repro.nn.models import build_network
 from repro.nn.network import Network
 
@@ -145,7 +145,7 @@ class ExperimentContext:
         self.config = config if config is not None else PaperConfig()
         self.arch = arch
         # Pre-built (typically shared-memory-attached, already calibrated)
-        # weight stores: a network named here skips init_weights and
+        # weight stores: a network named here skips the weight draw and
         # calibration entirely — how a serving shard reuses the router's
         # published weights without recomputing or copying them.
         self._preset_stores = dict(stores or {})
@@ -173,6 +173,11 @@ class ExperimentContext:
         self._position_stats: dict[str, dict[str, float]] = {}
         self._build_locks: dict[tuple, threading.Lock] = {}
         self._build_locks_guard = threading.Lock()
+        #: Every network this context has drawn weights for: its store
+        #: until a build takes it, then ``None`` (:meth:`_drawn_store`).
+        self._drawn: dict[str, WeightStore | None] = {}
+        self._draw_lock = threading.Lock()
+        self._images: dict[tuple, list[np.ndarray]] = {}
 
     def _build_once(self, cache: dict, key, build):
         """``cache[key]``, built by ``build()`` once across threads.
@@ -188,6 +193,51 @@ class ExperimentContext:
             if key not in cache:
                 cache[key] = build()
         return cache[key]
+
+    def _drawn_store(self, name: str) -> WeightStore:
+        """Hand ``name``'s seeded weights to its build, exactly once.
+
+        Every network's weights are slices of the seed's one normal
+        stream (:func:`~repro.nn.inference.draw_weights`), so the first
+        draw of a configured network also draws every configured network
+        that has no preset store and has not been drawn yet: one pass as
+        long as the longest of them.  Their stores wait here until their
+        own builds take them.  A network outside ``config.networks``
+        draws only itself, and so does the retry of a build that raised
+        after taking its store: the store it took is gone.
+        """
+        with self._draw_lock:
+            if self._drawn.get(name) is None:
+                names = [name]
+                if name in self.config.networks:
+                    names += [
+                        other for other in dict.fromkeys(self.config.networks)
+                        if other != name and other not in self._drawn
+                        and other not in self._preset_stores
+                    ]
+                stores = draw_weights(
+                    [self.network_structure(other) for other in names],
+                    np.random.default_rng(self.config.seed),
+                )
+                self._drawn.update(zip(names, stores))
+            store = self._drawn[name]
+            self._drawn[name] = None
+            return store
+
+    def _input_images(self, shape: tuple) -> list[np.ndarray]:
+        """The configured images at ``shape``, synthesized once per
+        context (every network but alex shares one input shape) and
+        read-only, since every network of that shape reads them."""
+        def build() -> list[np.ndarray]:
+            images = natural_images(
+                shape, self.config.num_images, seed=self.config.seed + 1
+            )
+            images = [img.astype(np.float32) for img in images]
+            for img in images:
+                img.flags.writeable = False
+            return images
+
+        return self._build_once(self._images, shape, build)
 
     # ------------------------------------------------------------------
     # network construction and calibration
@@ -214,28 +264,21 @@ class ExperimentContext:
 
     def _build_network(self, name: str) -> NetworkContext:
         network = self.network_structure(name)
+        images = self._input_images(network.input_shape)
         preset = self._preset_stores.get(name)
         if preset is not None:
             # The preset store is final (float32 weights + calibration
             # shifts baked in); only the deterministic input images are
             # rebuilt locally — they are derived from config seed alone.
-            images = natural_images(
-                network.input_shape,
-                self.config.num_images,
-                seed=self.config.seed + 1,
-            )
-            images = [img.astype(np.float32) for img in images]
             return NetworkContext(
                 name=name, network=network, store=preset, images=images
             )
-        # init_weights draws float32: single precision halves the cost of
-        # the forward sweeps; zero-pattern statistics and timing are
-        # unaffected.
-        store = init_weights(network, np.random.default_rng(self.config.seed))
-        images = natural_images(
-            network.input_shape, self.config.num_images, seed=self.config.seed + 1
-        )
-        images = [img.astype(np.float32) for img in images]
+        # float32 weights: single precision halves the cost of the
+        # forward sweeps; zero-pattern statistics and timing are
+        # unaffected.  Drawn in one pass with the other configured
+        # networks (_drawn_store), byte-identical to a draw of this
+        # network alone.
+        store = self._drawn_store(name)
 
         cached = self.artifacts.load("calib", network=name)
         if cached is not None:

@@ -47,6 +47,7 @@ __all__ = [
     "WeightStore",
     "ForwardResult",
     "init_weights",
+    "draw_weights",
     "image_stack",
     "run_forward",
     "apply_layer",
@@ -73,49 +74,78 @@ class WeightStore:
         return self.shifts.get(layer_name, 0.0)
 
 
-#: Elements per float64 draw in :func:`init_weights` (8 MB of scratch,
+#: Normals per float64 chunk of :func:`draw_weights` (8 MB of scratch,
 #: however large the layer).
 _DRAW_CHUNK = 1 << 20
 
 
 def init_weights(network: Network, rng: np.random.Generator) -> WeightStore:
-    """He-initialized random float32 weights for every conv and FC layer.
+    """He-initialized random float32 weights for every conv and FC layer
+    of one network (:func:`draw_weights` of a one-network list)."""
+    return draw_weights([network], rng)[0]
+
+
+def draw_weights(
+    networks: list[Network], rng: np.random.Generator
+) -> list[WeightStore]:
+    """He-initialized random float32 weights for several networks, drawn
+    in one pass over ``rng``'s standard-normal stream.
 
     The reproduction substitutes pretrained Model-Zoo weights with random
     filters whose scale keeps activation variance roughly constant across
     layers (He et al. scaling); :mod:`repro.nn.calibration` then sets the
     per-layer shifts so the zero-neuron fractions match the paper's Fig. 1.
 
-    Each layer is drawn in float64 through a bounded scratch buffer and
-    rounded into its float32 array, so the bytes equal
-    ``rng.normal(0.0, scale, shape).astype(np.float32)`` without the
-    float64 copy of the layer ever existing.
+    Each network's conv and FC layers are consecutive slices of the
+    stream from ``rng``'s current state, layer ``l`` scaled by its
+    ``sqrt(2 / fan_in)``, so every store equals a draw for its network
+    alone on a generator in that state: ``rng.normal(0.0, scale,
+    shape).astype(np.float32)`` layer after layer.  The networks share
+    the stream's prefix, so one pass as long as the longest network fills
+    them all: each float64 chunk of bounded scratch is drawn once, then
+    scaled and rounded into every layer it covers in every network.  No
+    float64 copy of a layer exists, and ``rng`` ends where the longest
+    network's own draw would leave it.
     """
-    store = WeightStore()
-    scratch = np.empty(_DRAW_CHUNK)
-    for layer in network.layers:
-        if layer.kind == LayerKind.CONV:
-            depth = network.input_shape_of(layer.name)[0] // layer.groups
-            fan_in = depth * layer.kernel * layer.kernel
-            shape = (layer.num_filters, depth, layer.kernel, layer.kernel)
-        elif layer.kind == LayerKind.FC:
-            in_shape = network.input_shape_of(layer.name)
-            fan_in = in_shape[0] * in_shape[1] * in_shape[2]
-            shape = (layer.num_filters, fan_in)
-        else:
-            continue
-        scale = np.sqrt(2.0 / fan_in)
-        weights = np.empty(shape, dtype=np.float32)
-        flat = weights.reshape(-1)
-        for start in range(0, flat.size, _DRAW_CHUNK):
-            draw = scratch[: min(_DRAW_CHUNK, flat.size - start)]
-            rng.standard_normal(out=draw)
-            draw *= scale
-            draw += 0.0  # -0.0 becomes +0.0, as in 0.0 + scale * z
-            flat[start : start + draw.size] = draw
-        store.weights[layer.name] = weights
-        store.biases[layer.name] = np.zeros(layer.num_filters, dtype=np.float32)
-    return store
+    stores = [WeightStore() for _ in networks]
+    # (stream offset, flat float32 destination, scale) of every layer
+    slices: list[tuple[int, np.ndarray, np.float64]] = []
+    length = 0
+    for network, store in zip(networks, stores):
+        offset = 0
+        for layer in network.layers:
+            if layer.kind == LayerKind.CONV:
+                depth = network.input_shape_of(layer.name)[0] // layer.groups
+                fan_in = depth * layer.kernel * layer.kernel
+                shape = (layer.num_filters, depth, layer.kernel, layer.kernel)
+            elif layer.kind == LayerKind.FC:
+                in_shape = network.input_shape_of(layer.name)
+                fan_in = in_shape[0] * in_shape[1] * in_shape[2]
+                shape = (layer.num_filters, fan_in)
+            else:
+                continue
+            weights = np.empty(shape, dtype=np.float32)
+            store.weights[layer.name] = weights
+            store.biases[layer.name] = np.zeros(layer.num_filters, dtype=np.float32)
+            slices.append((offset, weights.reshape(-1), np.sqrt(2.0 / fan_in)))
+            offset += weights.size
+        length = max(length, offset)
+    normals = np.empty(min(_DRAW_CHUNK, length))
+    scaled = np.empty_like(normals)
+    for start in range(0, length, _DRAW_CHUNK):
+        stop = min(start + _DRAW_CHUNK, length)
+        chunk = normals[: stop - start]
+        rng.standard_normal(out=chunk)
+        for offset, flat, scale in slices:
+            lo, hi = max(start, offset), min(stop, offset + flat.size)
+            if lo < hi:
+                part = scaled[: hi - lo]
+                np.multiply(chunk[lo - start : hi - start], scale, out=part)
+                # + 0.0 turns -0.0 into +0.0, as in 0.0 + scale * z; the
+                # float64 sum is rounded into the float32 layer
+                np.add(part, 0.0, out=flat[lo - offset : hi - offset],
+                       casting="same_kind")
+    return stores
 
 
 @dataclass

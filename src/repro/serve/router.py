@@ -366,9 +366,11 @@ class ShardedService:
     def _publish(self, context: ExperimentContext) -> SharedWeightArena:
         """Publish ``context``'s calibrated stores into a new arena.
 
-        The networks build one at a time: built concurrently in worker
-        threads, their private arrays outlived the build and reached the
-        forked shards.
+        The first build's draw fills every network's weights in one pass
+        over the seed's stream, and each store is handed to its network
+        once, so the context keeps no second reference to the private
+        arrays: once :meth:`_bind` rebinds the networks to the arena's
+        views, they are freed.
         """
         return SharedWeightArena.publish(
             {name: context.network_ctx(name).store for name in self.repo.networks}

@@ -20,7 +20,7 @@ Weights are **not** copied per shard: the spec carries the router's
 shared-memory arena manifest, and the shard attaches read-only zero-copy
 views (:func:`repro.nn.engine.attach_shared_weights`) before building
 its :class:`~repro.experiments.context.ExperimentContext` with preset
-stores — no per-shard ``init_weights``, no per-shard calibration.
+stores — no per-shard weight draw, no per-shard calibration.
 
 Wire protocol: each direction is a stream of frames, a 4-byte
 big-endian body length followed by the pickled envelope dict

@@ -17,11 +17,14 @@ from repro.experiments import (
     table1_networks,
     table2_thresholds,
 )
+import repro.experiments.context as context_module
 from repro.experiments.config import PaperConfig
 from repro.experiments.context import ExperimentContext, thresholds_key
 from repro.experiments.manifest import ArtifactCache
 from repro.experiments.report import ExperimentResult, format_table
 from repro.experiments.runner import EXPERIMENTS, run_all
+from repro.nn.datasets import natural_images
+from repro.nn.inference import WeightStore, init_weights
 from repro.experiments.thresholds import (
     lossless_thresholds,
     quantile_thresholds,
@@ -71,6 +74,145 @@ class TestContext:
 
     def test_prediction_stability_of_unpruned_is_one(self, ctx):
         assert ctx.prediction_stability("alex", None) == 1.0
+
+
+def recorded_draws(monkeypatch) -> list[list[str]]:
+    """The networks of every ``draw_weights`` call the context makes."""
+    draws: list[list[str]] = []
+    original = context_module.draw_weights
+
+    def recording(networks, rng):
+        draws.append([network.name for network in networks])
+        return original(networks, rng)
+
+    monkeypatch.setattr(context_module, "draw_weights", recording)
+    return draws
+
+
+def tiny_context(cache_dir, networks, **kwargs) -> ExperimentContext:
+    return ExperimentContext(
+        PaperConfig(
+            scale="tiny", networks=list(networks), cache_dir=cache_dir,
+            num_images=2,
+        ),
+        **kwargs,
+    )
+
+
+def assert_same_store(store: WeightStore, expected: WeightStore) -> None:
+    for field in ("weights", "biases"):
+        mine, theirs = getattr(store, field), getattr(expected, field)
+        assert list(mine) == list(theirs)
+        for name in mine:
+            assert mine[name].tobytes() == theirs[name].tobytes(), (field, name)
+
+
+class TestOneDrawPerContext:
+    """A context draws the seed's normal stream once for its configured
+    networks; each store reaches its network once, with the bytes of a
+    draw of that network alone."""
+
+    NETWORKS = ("alex", "nin", "google", "cnnS")
+
+    @pytest.fixture(scope="class")
+    def calibrated(self, tmp_path_factory):
+        """A cache holding every network's calibration, so builds below
+        load it rather than calibrate."""
+        cache = tmp_path_factory.mktemp("calibrated")
+        context = tiny_context(cache, self.NETWORKS)
+        for name in self.NETWORKS:
+            context.network_ctx(name)
+        return cache
+
+    def test_configured_networks_share_one_draw(self, calibrated, monkeypatch):
+        draws = recorded_draws(monkeypatch)
+        context = tiny_context(calibrated, self.NETWORKS)
+        built = {name: context.network_ctx(name) for name in self.NETWORKS}
+        assert draws == [list(self.NETWORKS)]
+        assert context._drawn == dict.fromkeys(self.NETWORKS)  # all taken
+        for name in ("nin", "cnnS"):
+            assert_same_store(
+                built[name].store,
+                init_weights(built[name].network, np.random.default_rng(7)),
+            )
+
+    def test_a_build_that_fails_after_its_draw_draws_again(
+        self, tmp_path, monkeypatch
+    ):
+        draws = recorded_draws(monkeypatch)
+        original = context_module.calibrate_network
+        failures = []
+
+        def fails_once(*args, **kwargs):
+            if not failures:
+                failures.append(args[0].name)
+                raise RuntimeError("calibration interrupted")
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(context_module, "calibrate_network", fails_once)
+        context = tiny_context(tmp_path / "retry", ("alex", "cnnS"))
+        with pytest.raises(RuntimeError, match="interrupted"):
+            context.network_ctx("alex")
+        retried = {name: context.network_ctx(name) for name in ("alex", "cnnS")}
+        assert failures == ["alex"]
+        assert draws == [["alex", "cnnS"], ["alex"]]
+        fresh = tiny_context(tmp_path / "fresh", ("alex", "cnnS"))
+        for name, nctx in retried.items():
+            expected = fresh.network_ctx(name).store
+            assert_same_store(nctx.store, expected)
+            assert list(nctx.store.shifts) == list(expected.shifts)
+            for layer, shift in nctx.store.shifts.items():
+                assert np.asarray(shift).tobytes() == (
+                    np.asarray(expected.shifts[layer]).tobytes()
+                ), layer
+
+    def test_a_network_outside_the_config_draws_only_itself(
+        self, calibrated, monkeypatch
+    ):
+        draws = recorded_draws(monkeypatch)
+        context = tiny_context(calibrated, ("alex", "cnnS"))
+        nin = context.network_ctx("nin")
+        assert draws == [["nin"]]
+        assert_same_store(
+            nin.store, init_weights(nin.network, np.random.default_rng(7))
+        )
+        context.network_ctx("cnnS")
+        assert draws == [["nin"], ["cnnS", "alex"]]
+
+    def test_preset_stores_are_never_drawn(self, calibrated, monkeypatch):
+        draws = recorded_draws(monkeypatch)
+        preset = WeightStore()
+        context = tiny_context(
+            calibrated, ("alex", "nin", "cnnS"), stores={"alex": preset}
+        )
+        assert context.network_ctx("alex").store is preset
+        assert draws == []
+        context.network_ctx("nin")
+        assert draws == [["nin", "cnnS"]]
+
+    def test_same_shape_networks_share_read_only_images(
+        self, calibrated, monkeypatch
+    ):
+        synthesized = []
+        original = context_module.natural_images
+
+        def recording(shape, count, seed=0):
+            synthesized.append(shape)
+            return original(shape, count, seed=seed)
+
+        monkeypatch.setattr(context_module, "natural_images", recording)
+        context = tiny_context(calibrated, self.NETWORKS)
+        images = {
+            name: context.network_ctx(name).images for name in self.NETWORKS
+        }
+        assert synthesized == [(3, 67, 67), (3, 64, 64)]
+        expected = original((3, 64, 64), 2, seed=8)
+        for name in ("nin", "google", "cnnS"):
+            assert all(a is b for a, b in zip(images[name], images["nin"]))
+            for image, want in zip(images[name], expected):
+                assert image.dtype == np.float32
+                assert not image.flags.writeable
+                assert image.tobytes() == want.astype(np.float32).tobytes()
 
 
 class TestOneTimingCache:

@@ -6,9 +6,9 @@ import pytest
 from repro.experiments.config import PaperConfig
 from repro.nn import inference
 from repro.nn.datasets import natural_images
-from repro.nn.inference import init_weights, run_forward
+from repro.nn.inference import draw_weights, init_weights, run_forward
 from repro.nn.models import build_network, network_names
-from repro.nn.network import LayerSpec, Network
+from repro.nn.network import LayerKind, LayerSpec, Network
 from repro.nn.tensor import DEFAULT_FORMAT
 
 
@@ -72,6 +72,30 @@ class TestForward:
         assert result.logits is not None
 
 
+def assert_per_layer_draw(network: Network, store, seed: int) -> None:
+    """The oracle: ``store`` holds, byte for byte, what a fresh generator
+    of ``seed`` draws for ``network`` alone, one ``rng.normal(0.0,
+    scale, shape)`` per conv/FC layer in layer order, cast to float32."""
+    assert list(store.weights) == [
+        layer.name for layer in network.layers
+        if layer.kind in (LayerKind.CONV, LayerKind.FC)
+    ]
+    reference = np.random.default_rng(seed)
+    for name, weights in store.weights.items():  # the draw order
+        scale = np.sqrt(2.0 / np.prod(weights.shape[1:]))
+        expected = reference.normal(0.0, scale, weights.shape).astype(np.float32)
+        assert weights.dtype == np.float32, name
+        assert weights.tobytes() == expected.tobytes(), name
+        biases = store.biases[name]
+        assert biases.dtype == np.float32 and not biases.any()
+
+
+def tiny_network(name: str) -> Network:
+    return build_network(
+        name, input_size=PaperConfig(scale="tiny").input_size(name)
+    )
+
+
 class TestInitWeights:
     @pytest.mark.parametrize("name", network_names())
     def test_float32_draw_equals_the_cast_float64_draw(self, name, monkeypatch):
@@ -81,22 +105,32 @@ class TestInitWeights:
         # An odd chunk: every network draws some layer over several
         # chunks and a ragged tail.
         monkeypatch.setattr(inference, "_DRAW_CHUNK", 65537)
-        network = build_network(
-            name, input_size=PaperConfig(scale="tiny").input_size(name)
-        )
+        network = tiny_network(name)
         store = init_weights(network, np.random.default_rng(7))
-        reference = np.random.default_rng(7)
-        for layer in network.layers:  # the draw order
-            if layer.name not in store.weights:
-                continue
-            weights = store.weights[layer.name]
-            scale = np.sqrt(2.0 / np.prod(weights.shape[1:]))
-            expected = reference.normal(0.0, scale, weights.shape).astype(np.float32)
-            assert weights.dtype == np.float32, layer.name
-            assert weights.tobytes() == expected.tobytes(), layer.name
-            biases = store.biases[layer.name]
-            assert biases.dtype == np.float32 and not biases.any()
+        assert_per_layer_draw(network, store, seed=7)
         assert max(w.size for w in store.weights.values()) > inference._DRAW_CHUNK
+
+    @pytest.mark.parametrize("order", ["forward", "reversed"])
+    def test_one_pass_equals_a_fresh_draw_per_network(self, order, monkeypatch):
+        """One pass over the stream for all six networks gives each the
+        bytes of its own draw on a fresh generator, in either order, and
+        leaves the generator where the longest network's draw does."""
+        monkeypatch.setattr(inference, "_DRAW_CHUNK", 65537)
+        names = network_names()
+        networks = [
+            tiny_network(name)
+            for name in (names if order == "forward" else names[::-1])
+        ]
+        rng = np.random.default_rng(7)
+        stores = draw_weights(networks, rng)
+        sizes = [sum(w.size for w in s.weights.values()) for s in stores]
+        for network, store in zip(networks, stores):
+            assert_per_layer_draw(network, store, seed=7)
+        del stores
+        longest = np.random.default_rng(7)
+        init_weights(networks[int(np.argmax(sizes))], longest)
+        assert rng.bit_generator.state == longest.bit_generator.state
+        assert len(set(sizes)) == len(sizes)  # every network ends elsewhere
 
 
 class TestDtypePolicy:

@@ -627,16 +627,20 @@ class TestSingleFlightBuilds:
         from repro.experiments import context
 
         builds = collections.Counter()
+        calls = collections.Counter()
 
         def slowed(kind, build, delay_s):
-            def wrapper(network, *args, **kwargs):
-                builds[kind, network.name] += 1
+            def wrapper(first, *args, **kwargs):
+                calls[kind] += 1
+                # draw_weights takes a list of networks, the others one
+                for network in first if isinstance(first, list) else [first]:
+                    builds[kind, network.name] += 1
                 time.sleep(delay_s)  # widen the check-then-build window
-                return build(network, *args, **kwargs)
+                return build(first, *args, **kwargs)
             return wrapper
 
         for kind, delay_s in (
-            ("init_weights", 0.2),
+            ("draw_weights", 0.2),
             ("IncrementalForwardEngine", 0.05),
             ("prune_conv_weights", 0.05),
         ):
@@ -670,10 +674,12 @@ class TestSingleFlightBuilds:
         assert all(resp.status == "ok" for [resp] in answers)
         assert builds == {
             (kind, network): 1
-            for kind in ("init_weights", "IncrementalForwardEngine",
+            for kind in ("draw_weights", "IncrementalForwardEngine",
                          "prune_conv_weights")
             for network in SERVE_NETWORKS
         }
+        # the configured networks share one pass over the seed's stream
+        assert calls["draw_weights"] == 1
         for network in SERVE_NETWORKS:
             assert repo.engine(network).store is repo.entry(network).store
 

@@ -512,15 +512,16 @@ class TestOneWeightCopy:
         from repro.serve.router import ShardedService as Service
 
         drawn: list[weakref.ref] = []
-        original_init = context_module.init_weights
+        original_draw = context_module.draw_weights
 
-        def recording_init(network, rng):
-            store = original_init(network, rng)
+        def recording_draw(networks, rng):
+            stores = original_draw(networks, rng)
             drawn.extend(
                 weakref.ref(arr)
+                for store in stores
                 for arr in (*store.weights.values(), *store.biases.values())
             )
-            return store
+            return stores
 
         alive_at_spawn: list[int] = []
         original_spawn = Service._spawn
@@ -530,7 +531,7 @@ class TestOneWeightCopy:
                 alive_at_spawn.append(sum(ref() is not None for ref in drawn))
             return original_spawn(self, index)
 
-        monkeypatch.setattr(context_module, "init_weights", recording_init)
+        monkeypatch.setattr(context_module, "draw_weights", recording_draw)
         monkeypatch.setattr(Service, "_spawn", checking_spawn)
         requests = build_requests(4, networks=list(SERVE_NETWORKS), seed=5)
 
@@ -554,7 +555,7 @@ class TestOneWeightCopy:
                 await service.stop()
 
         asyncio.run(_go())
-        assert drawn, "init_weights never ran"
+        assert drawn, "draw_weights never ran"
         assert alive_at_spawn == [0]
 
     def test_forked_shards_hold_less_anonymous_memory_than_the_arena(
